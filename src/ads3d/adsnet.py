@@ -7,9 +7,11 @@ convs with max pooling), concatenation of the equal-shaped stream outputs
 along the spatial height axis, a fusion convolution block, then a single
 dense layer producing one logit per class.
 
-The full-size configuration reproduces a fixed 18-row chain of intermediate
-shapes (see shape_chain); a reduced configuration with the same topology
-exists for gradient checks and fast end-to-end tests.
+The layers are listed once, as rows derived from the configuration
+(_topology); shape_chain, param_count and the model's layers all follow from
+those rows. The full-size configuration reproduces a fixed 18-row chain of
+intermediate shapes (see shape_chain); a reduced configuration with the same
+topology exists for gradient checks and fast end-to-end tests.
 """
 
 from __future__ import annotations
@@ -70,34 +72,65 @@ def _pool_out(shape, k, stage):
     return (f, d, h, (w - k) // k + 1)
 
 
+def _topology(config: AdsNetConfig):
+    """The layers after the grid reshape as ordered (name, kind, arg) rows,
+    one list each for stream b1, stream b2 and fusion block b3.
+
+    kind is conv (arg: in channels, out channels, kernel), bn (features),
+    elu, avgpool/maxpool (time-axis kernel and stride) or dropout (rate).
+    Both streams read the grid; b3 reads their concatenation.
+    """
+    streams = (("b1", config.b1_channels, config.b1_kernels, "avgpool",
+                config.b1_pool, config.b1_dropout),
+               ("b2", config.b2_channels, config.b2_kernels, "maxpool",
+                config.b2_pool, config.b2_dropout))
+    blocks = []
+    for block, channels, kernels, pool, k, p in streams:
+        rows, in_ch = [], 1
+        for i, (ch, kernel) in enumerate(zip(channels, kernels), 1):
+            rows += [(f"{block}.conv{i}", "conv", (in_ch, ch, kernel)),
+                     (f"{block}.bn{i}", "bn", ch)]
+            if i >= 2:
+                rows += [(f"{block}.elu{i}", "elu", None),
+                         (f"{block}.pool{i - 1}", pool, k),
+                         (f"{block}.drop{i - 1}", "dropout", p)]
+            in_ch = ch
+        blocks.append(rows)
+    blocks.append([
+        ("b3.conv1", "conv", (config.b2_channels[-1], config.b3_channels,
+                              config.b3_kernel)),
+        ("b3.bn1", "bn", config.b3_channels),
+        ("b3.elu1", "elu", None),
+        ("b3.pool1", "avgpool", config.b3_pool),
+        ("b3.drop1", "dropout", config.b3_dropout),
+    ])
+    return blocks
+
+
+def _walk(rows, shape, chain):
+    for name, kind, arg in rows:
+        if kind == "conv":
+            shape = _conv_out(shape, arg[1], arg[2], name)
+        elif kind.endswith("pool"):
+            shape = _pool_out(shape, arg, name)
+        else:
+            continue
+        chain.append((name, shape))
+    return shape
+
+
 def shape_chain(config: AdsNetConfig):
     """All intermediate output sizes as (stage, (F, D, H, W)), batch omitted."""
     g, t = config.grid_side, config.n_samples
     chain = [("reshape", (1, g, g, t))]
-    shape = (1, g, g, t)
-    for i, (ch, k) in enumerate(zip(config.b1_channels, config.b1_kernels), 1):
-        shape = _conv_out(shape, ch, k, f"b1.conv{i}")
-        chain.append((f"b1.conv{i}", shape))
-        if i >= 2:
-            shape = _pool_out(shape, config.b1_pool, f"b1.pool{i - 1}")
-            chain.append((f"b1.pool{i - 1}", shape))
-    s1 = shape
-    shape = (1, g, g, t)
-    for i, (ch, k) in enumerate(zip(config.b2_channels, config.b2_kernels), 1):
-        shape = _conv_out(shape, ch, k, f"b2.conv{i}")
-        chain.append((f"b2.conv{i}", shape))
-        if i >= 2:
-            shape = _pool_out(shape, config.b2_pool, f"b2.pool{i - 1}")
-            chain.append((f"b2.pool{i - 1}", shape))
-    s2 = shape
+    b1, b2, b3 = _topology(config)
+    s1 = _walk(b1, chain[0][1], chain)
+    s2 = _walk(b2, chain[0][1], chain)
     if s1 != s2:
         raise ValueError(f"stream outputs differ: {s1} vs {s2}")
     shape = (s1[0], s1[1], s1[2] * 2, s1[3])
     chain.append(("concat", shape))
-    shape = _conv_out(shape, config.b3_channels, config.b3_kernel, "b3.conv1")
-    chain.append(("b3.conv1", shape))
-    shape = _pool_out(shape, config.b3_pool, "b3.pool1")
-    chain.append(("b3.pool1", shape))
+    _walk(b3, shape, chain)
     return chain
 
 
@@ -127,19 +160,14 @@ def param_count(config: AdsNetConfig) -> int:
     """Number of learnable scalars, straight from the configuration."""
     t = config.n_samples
     total = 2 * t * config.attn_dk + t * t
-    in_ch = 1
-    for ch, (kd, kh, kw) in zip(config.b1_channels, config.b1_kernels):
-        total += ch * in_ch * kd * kh * kw + ch + 2 * ch
-        in_ch = ch
-    in_ch = 1
-    for ch, (kd, kh, kw) in zip(config.b2_channels, config.b2_kernels):
-        total += ch * in_ch * kd * kh * kw + ch + 2 * ch
-        in_ch = ch
-    kd, kh, kw = config.b3_kernel
-    total += config.b3_channels * config.b2_channels[-1] * kd * kh * kw
-    total += config.b3_channels + 2 * config.b3_channels
-    total += flat_features(config) * config.n_classes + config.n_classes
-    return total
+    for rows in _topology(config):
+        for _, kind, arg in rows:
+            if kind == "conv":
+                in_ch, out_ch, (kd, kh, kw) = arg
+                total += out_ch * in_ch * kd * kh * kw + out_ch
+            elif kind == "bn":
+                total += 2 * arg
+    return total + flat_features(config) * config.n_classes + config.n_classes
 
 
 def _uniform_init(stream: RngStream, shape, fan_in: int, dtype):
@@ -172,59 +200,35 @@ class AdsNet:
             np.eye(t, dtype=self.dtype) + _uniform_init(init, (t, t), t, self.dtype),
         )
 
-        def conv(name, in_ch, out_ch, kernel):
-            kd, kh, kw = kernel
+        def conv(name, arg):
+            in_ch, out_ch, (kd, kh, kw) = arg
             fan_in = in_ch * kd * kh * kw
             w = _uniform_init(init, (out_ch, in_ch, kd, kh, kw), fan_in, self.dtype)
             return Conv3d(w, np.zeros(out_ch, dtype=self.dtype), name=name)
 
-        self.b1 = []
-        in_ch = 1
-        for i, (ch, k) in enumerate(zip(cfg.b1_channels, cfg.b1_kernels), 1):
-            steps = [conv(f"b1.conv{i}", in_ch, ch, k),
-                     BatchNorm(ch, dtype=self.dtype, name=f"b1.bn{i}")]
-            if i >= 2:
-                steps.append(Elu(name=f"b1.elu{i}"))
-                steps.append(AvgPool3d((1, 1, cfg.b1_pool), name=f"b1.pool{i - 1}"))
-                steps.append(Dropout(cfg.b1_dropout, name=f"b1.drop{i - 1}"))
-            self.b1.extend(steps)
-            in_ch = ch
-        self.b2 = []
-        in_ch = 1
-        for i, (ch, k) in enumerate(zip(cfg.b2_channels, cfg.b2_kernels), 1):
-            steps = [conv(f"b2.conv{i}", in_ch, ch, k),
-                     BatchNorm(ch, dtype=self.dtype, name=f"b2.bn{i}")]
-            if i >= 2:
-                steps.append(Elu(name=f"b2.elu{i}"))
-                steps.append(MaxPool3d((1, 1, cfg.b2_pool), name=f"b2.pool{i - 1}"))
-                steps.append(Dropout(cfg.b2_dropout, name=f"b2.drop{i - 1}"))
-            self.b2.extend(steps)
-            in_ch = ch
-        self.b3 = [
-            conv("b3.conv1", cfg.b2_channels[-1], cfg.b3_channels, cfg.b3_kernel),
-            BatchNorm(cfg.b3_channels, dtype=self.dtype, name="b3.bn1"),
-            Elu(name="b3.elu1"),
-            AvgPool3d((1, 1, cfg.b3_pool), name="b3.pool1"),
-            Dropout(cfg.b3_dropout, name="b3.drop1"),
-        ]
+        make = {
+            "conv": conv,
+            "bn": lambda name, n: BatchNorm(n, dtype=self.dtype, name=name),
+            "elu": lambda name, _: Elu(name=name),
+            "avgpool": lambda name, k: AvgPool3d((1, 1, k), name=name),
+            "maxpool": lambda name, k: MaxPool3d((1, 1, k), name=name),
+            "dropout": lambda name, p: Dropout(p, name=name),
+        }
+        self.b1, self.b2, self.b3 = [[make[kind](name, arg) for name, kind, arg in rows]
+                                     for rows in _topology(cfg)]
         n_flat = flat_features(cfg)
         self.head = Dense(
             _uniform_init(init, (n_flat, cfg.n_classes), n_flat, self.dtype),
             np.zeros(cfg.n_classes, dtype=self.dtype),
             name="head",
         )
-        self._layers = self.b1 + self.b2 + self.b3 + [self.head]
+        self._layers = [self.attn] + self.b1 + self.b2 + self.b3 + [self.head]
 
     # -- parameter bookkeeping ------------------------------------------------
 
     def parameters(self) -> dict:
-        out = {"attn.wq": self.attn.params.w_q,
-               "attn.wk": self.attn.params.w_k,
-               "attn.wv": self.attn.params.w_v}
-        for layer in self._layers:
-            for key, val in layer.params.items():
-                out[f"{layer.name}.{key}"] = val
-        return out
+        return {f"{layer.name}.{key}": val
+                for layer in self._layers for key, val in layer.params.items()}
 
     def state_arrays(self) -> dict:
         """Parameters plus batchnorm running statistics."""
@@ -236,13 +240,21 @@ class AdsNet:
         return out
 
     def load_state(self, arrays: dict):
+        """Copy every state entry in; names and shapes must match exactly."""
         state = self.state_arrays()
         missing = set(state) - set(arrays)
         if missing:
             raise KeyError(f"missing state entries: {sorted(missing)}")
+        unexpected = set(arrays) - set(state)
+        if unexpected:
+            raise KeyError(f"unexpected state entries: {sorted(unexpected)}")
         for name, target in state.items():
-            src = np.asarray(arrays[name], dtype=self.dtype).reshape(target.shape)
-            target[...] = src
+            shape = np.shape(arrays[name])
+            if shape != target.shape:
+                raise ValueError(f"state entry {name!r}: shape {shape}, "
+                                 f"model expects {target.shape}")
+        for name, target in state.items():
+            target[...] = np.asarray(arrays[name], dtype=self.dtype)
 
     def to_checkpoint(self, metadata: dict | None = None) -> ModelCheckpoint:
         entries = [
@@ -259,12 +271,9 @@ class AdsNet:
 
     # -- execution -------------------------------------------------------------
 
-    def _run(self, steps, x, train, stream, trace):
-        for layer in steps:
-            if isinstance(layer, Dropout):
-                x = layer.forward(x, train=train, stream=stream)
-            else:
-                x = layer.forward(x, train=train)
+    def _run(self, layers, x, train, stream, trace):
+        for layer in layers:
+            x = layer.forward(x, train=train, stream=stream)
             if trace is not None:
                 trace.append((layer.name, x.shape[1:]))
         return x
@@ -280,11 +289,10 @@ class AdsNet:
             )
         names = channel_names if channel_names is not None else self.montage.channel_names
         self._grid_idx = self.montage.grid_index(names)
-        attended = self.attn.forward(x, cache=train)
+        attended = self._run([self.attn], x, train, stream, trace)
         grid = attended[:, self._grid_idx, :]
         x = grid.reshape(x.shape[0], 1, cfg.grid_side, cfg.grid_side, cfg.n_samples)
         if trace is not None:
-            trace.append(("attention", attended.shape[1:]))
             trace.append(("reshape", x.shape[1:]))
         y1 = self._run(self.b1, x, train, stream, trace)
         y2 = self._run(self.b2, x, train, stream, trace)
@@ -293,36 +301,29 @@ class AdsNet:
             trace.append(("concat", fused.shape[1:]))
         y3 = self._run(self.b3, fused, train, stream, trace)
         self._flat_shape = y3.shape
-        logits = self.head.forward(y3.reshape(y3.shape[0], -1), train=train)
-        if trace is not None:
-            trace.append(("head", logits.shape[1:]))
-        return logits
+        return self._run([self.head], y3.reshape(y3.shape[0], -1), train, stream, trace)
+
+    @staticmethod
+    def _back(layers, g):
+        for layer in reversed(layers):
+            g = layer.backward(g)
+        return g
 
     def loss_and_grads(self, batch, labels, channel_names=None,
                        stream: RngStream | None = None):
         """Mean cross-entropy and gradients for every parameter."""
         logits = self.forward(batch, channel_names, train=True, stream=stream)
         loss, g = cross_entropy(logits, labels)
-        g = self.head.backward(g).reshape(self._flat_shape)
-        for layer in reversed(self.b3):
-            g = layer.backward(g)
+        g = self._back(self.b3, self.head.backward(g).reshape(self._flat_shape))
         h_half = g.shape[3] // 2
-        g1, g2 = g[:, :, :, :h_half, :], g[:, :, :, h_half:, :]
-        for layer in reversed(self.b1):
-            g1 = layer.backward(g1)
-        for layer in reversed(self.b2):
-            g2 = layer.backward(g2)
-        g_grid = (g1 + g2).reshape(g1.shape[0], self.config.n_channels,
-                                   self.config.n_samples)
+        g_grid = (self._back(self.b1, g[:, :, :, :h_half, :])
+                  + self._back(self.b2, g[:, :, :, h_half:, :]))
+        g_grid = g_grid.reshape(g.shape[0], self.config.n_channels, self.config.n_samples)
         g_att = np.empty_like(g_grid)
         g_att[:, self._grid_idx.ravel(), :] = g_grid
         self.attn.backward(g_att)
-        grads = {"attn.wq": self.attn.grads["wq"],
-                 "attn.wk": self.attn.grads["wk"],
-                 "attn.wv": self.attn.grads["wv"]}
-        for layer in self._layers:
-            for key in layer.params:
-                grads[f"{layer.name}.{key}"] = layer.grads[key]
+        grads = {f"{layer.name}.{key}": layer.grads[key]
+                 for layer in self._layers for key in layer.params}
         return loss, grads
 
     def predict(self, batch, channel_names=None) -> np.ndarray:

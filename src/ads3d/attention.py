@@ -2,8 +2,9 @@
 
 A [C, T] epoch is linearly projected along its time axis into queries and
 keys of width d_k and values of width d_v; the channel-by-channel score
-matrix softmax(Q K^T / sqrt(d_k)) then reweights the values. With d_v == T
-the output keeps the epoch shape and can feed the grid rearrangement.
+matrix softmax(Q K^T / sqrt(d_k)) then reweights the values. The layer
+requires d_v == T, so its output keeps the epoch shape and can feed the grid
+rearrangement.
 
 All operations accept a leading batch axis. Weights act on the time axis
 only, so the whole block is equivariant under channel permutations.
@@ -11,40 +12,17 @@ only, so the whole block is equivariant under channel permutations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass
-class AttentionParams:
-    w_q: np.ndarray   # [T, d_k]
-    w_k: np.ndarray   # [T, d_k]
-    w_v: np.ndarray   # [T, d_v]
-
-    def __post_init__(self):
-        if self.w_q.shape != self.w_k.shape:
-            raise ValueError("w_q and w_k must share [T, d_k]")
-        if self.w_v.shape[0] != self.w_q.shape[0]:
-            raise ValueError("w_v must share the time axis T")
-
-    @property
-    def d_k(self) -> int:
-        return self.w_q.shape[1]
-
-    @property
-    def d_v(self) -> int:
-        return self.w_v.shape[1]
-
-
-def project_qkv(x: np.ndarray, params: AttentionParams):
-    """Per-channel linear maps over time: (x w_q, x w_k, x w_v)."""
+def project_qkv(x: np.ndarray, params: dict):
+    """Per-channel linear maps over time: (x wq, x wk, x wv)."""
     x = np.asarray(x)
-    if x.shape[-1] != params.w_q.shape[0]:
+    if x.shape[-1] != params["wq"].shape[0]:
         raise ValueError(
-            f"input time axis {x.shape[-1]} != projection rows {params.w_q.shape[0]}"
+            f"input time axis {x.shape[-1]} != projection rows {params['wq'].shape[0]}"
         )
-    return x @ params.w_q, x @ params.w_k, x @ params.w_v
+    return x @ params["wq"], x @ params["wk"], x @ params["wv"]
 
 
 def row_softmax(scores: np.ndarray) -> np.ndarray:
@@ -68,31 +46,27 @@ def scaled_dot_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndar
     return row_softmax(scores) @ v
 
 
-def channel_attention(x: np.ndarray, params: AttentionParams) -> np.ndarray:
-    """Full block on a [.., C, T] epoch; requires d_v == T."""
-    if params.d_v != params.w_v.shape[0]:
-        raise ValueError(
-            f"d_v={params.d_v} must equal T={params.w_v.shape[0]} for in-pipeline use"
-        )
-    return scaled_dot_attention(*project_qkv(x, params))
-
-
 class ChannelAttention:
-    """Stateful layer wrapper with cached forward and analytic backward."""
+    """Layer with the nncore protocol: params/grads keyed wq, wk, wv,
+    forward caching only in train mode, analytic backward."""
 
-    def __init__(self, w_q, w_k, w_v):
-        self.params = AttentionParams(np.asarray(w_q), np.asarray(w_k), np.asarray(w_v))
+    def __init__(self, w_q, w_k, w_v, name="attn"):
+        w_q, w_k, w_v = np.asarray(w_q), np.asarray(w_k), np.asarray(w_v)
+        if w_q.shape != w_k.shape:
+            raise ValueError("w_q and w_k must share [T, d_k]")
+        if w_v.shape != (w_q.shape[0], w_q.shape[0]):
+            raise ValueError(f"w_v is {w_v.shape}: d_v must equal T={w_q.shape[0]}")
+        self.params = {"wq": w_q, "wk": w_k, "wv": w_v}
         self.grads = {}
+        self.name = name
         self._cache = None
 
-    def forward(self, x: np.ndarray, cache: bool = True) -> np.ndarray:
-        p = self.params
-        q, k, v = project_qkv(x, p)
-        scale = 1.0 / np.sqrt(p.d_k)
+    def forward(self, x, train=False, stream=None):
+        q, k, v = project_qkv(x, self.params)
+        scale = 1.0 / np.sqrt(q.shape[-1])
         weights = row_softmax(q @ np.swapaxes(k, -1, -2) * scale)
-        out = weights @ v
-        self._cache = (x, q, k, v, weights, scale) if cache else None
-        return out
+        self._cache = (x, q, k, v, weights, scale) if train else None
+        return weights @ v
 
     def backward(self, g: np.ndarray) -> np.ndarray:
         x, q, k, v, weights, scale = self._cache
@@ -109,7 +83,7 @@ class ChannelAttention:
             "wk": _sum_batches(xt @ g_k),
             "wv": _sum_batches(xt @ g_v),
         }
-        return (g_q @ p.w_q.T) + (g_k @ p.w_k.T) + (g_v @ p.w_v.T)
+        return (g_q @ p["wq"].T) + (g_k @ p["wk"].T) + (g_v @ p["wv"].T)
 
 
 def _sum_batches(a: np.ndarray) -> np.ndarray:

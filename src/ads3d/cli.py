@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -163,23 +162,10 @@ def config_text(config: dict) -> str:
     return "".join(f"{k} = {config[k]}\n" for k in sorted(config))
 
 
-def _write_text(path, text: str):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ads3d-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _echo_config(config: dict, anchor_path, is_dir=False):
     target = (os.path.join(anchor_path, "run_config.txt") if is_dir
               else str(anchor_path) + ".config.txt")
-    _write_text(target, config_text(config))
+    eegio.atomic_write(target, config_text(config))
 
 
 def _log(msg: str):
@@ -245,7 +231,7 @@ def cmd_train(config: dict) -> None:
     os.makedirs(config["out_dir"], exist_ok=True)
     for report in result.reports:
         base = os.path.join(config["out_dir"], f"fold{report.fold}")
-        _write_text(base + ".log", report.log_text())
+        eegio.atomic_write(base + ".log", report.log_text())
         model = AdsNet(net_config, montage, seed=config["seed"])
         model.load_state(report.best_state)
         ckpt = model.to_checkpoint({
@@ -261,8 +247,8 @@ def cmd_train(config: dict) -> None:
                f"std_accuracy {result.std_accuracy:.6f}"]
     summary += [f"fold{r.fold}_accuracy {r.best_eval_acc:.6f}"
                 for r in result.reports]
-    _write_text(os.path.join(config["out_dir"], "summary.txt"),
-                "\n".join(summary) + "\n")
+    eegio.atomic_write(os.path.join(config["out_dir"], "summary.txt"),
+                       "\n".join(summary) + "\n")
     _echo_config(config, config["out_dir"], is_dir=True)
     _log(f"cross-validation mean accuracy {result.mean_accuracy:.4f} "
          f"(std {result.std_accuracy:.4f})")
@@ -281,7 +267,7 @@ def cmd_eval(config: dict) -> None:
     loss, accuracy, confusion = training.evaluate(model, data, labels)
     lines = [f"loss {loss:.9g}", f"accuracy {accuracy:.6f}", "confusion"]
     lines += [" ".join(str(v) for v in row) for row in confusion]
-    _write_text(config["out"], "\n".join(lines) + "\n")
+    eegio.atomic_write(config["out"], "\n".join(lines) + "\n")
     _echo_config(config, config["out"])
     _log(f"accuracy {accuracy:.4f} over {len(labels)} trials")
 
@@ -312,7 +298,7 @@ def cmd_stats(config: dict) -> None:
     for key, label in (("a", "class"), ("b", "channel"), ("ab", "interaction")):
         anova_lines.append(
             f"{label} F {anova.f[key]:.9g} p {anova.p[key]:.9g} df {anova.df[key]}")
-    _write_text(config["out_prefix"] + "_anova.txt", "\n".join(anova_lines) + "\n")
+    eegio.atomic_write(config["out_prefix"] + "_anova.txt", "\n".join(anova_lines) + "\n")
     _echo_config(config, config["out_prefix"] + "_report.txt")
     _log(f"significant channels: {', '.join(report.significant_channels()) or 'none'}")
     _log("wrote " + ", ".join(sorted(paths.values())))

@@ -109,18 +109,20 @@ class ModelCheckpoint:
                     f"entry {name!r}: product of dims {dims} != value count {values.size}"
                 )
 
-    def tensor(self, name: str) -> np.ndarray:
-        for ename, dims, values in self.entries:
-            if ename == name:
-                return values.reshape(dims)
-        raise KeyError(name)
 
-
-def _atomic_write(path, payload: bytes):
+def atomic_write(path, payload) -> None:
+    """Write bytes, or text as UTF-8, to a temporary file beside path, then
+    rename it over path. The file gets the mode a plain open() would give:
+    0o666 minus the umask."""
+    if isinstance(payload, str):
+        payload = payload.encode("utf-8")
+    umask = os.umask(0)
+    os.umask(umask)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ads3d-")
     try:
         with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(payload)
         os.replace(tmp, path)
     except BaseException:
@@ -139,7 +141,7 @@ def write_epochset(epochs: EpochSet, path) -> None:
     parts = [head, epochs.labels.tobytes()]
     parts.extend(_ascii_name(n) for n in epochs.channel_names)
     parts.append(epochs.data.astype("<f4").tobytes())
-    _atomic_write(path, b"".join(parts))
+    atomic_write(path, b"".join(parts))
 
 
 class _Reader:
@@ -199,7 +201,7 @@ def write_checkpoint(ckpt: ModelCheckpoint, path) -> None:
             raw = str(s).encode("utf-8")
             parts.append(struct.pack("<H", len(raw)))
             parts.append(raw)
-    _atomic_write(path, b"".join(parts))
+    atomic_write(path, b"".join(parts))
 
 
 def read_checkpoint(path) -> ModelCheckpoint:

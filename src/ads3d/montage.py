@@ -17,6 +17,8 @@ from importlib import resources
 
 import numpy as np
 
+from .eegio import atomic_write
+
 GRID_SIDE = 8
 
 # Acquisition-style channel order (front to back, left to right within a row).
@@ -153,8 +155,7 @@ def save_montage(montage: MontageMap, path) -> None:
     for r, row in enumerate(montage.grid):
         for c, name in enumerate(row):
             lines.append(f"{r} {c} {name}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def default_montage() -> MontageMap:

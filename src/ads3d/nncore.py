@@ -8,10 +8,13 @@ along the last axis combined with an explicit window contraction over the
 small depth/height axes; padding the FFT to at least the input length keeps
 the circular result exact for every valid lag.
 
-Every layer exposes ``forward`` (optionally caching) and ``backward`` which
-returns the input gradient and fills ``self.grads`` keyed like
-``self.params``. ``grad_check`` compares any analytic gradient against
-central finite differences.
+Every layer, here and ``attention.ChannelAttention``, has one protocol:
+``name``, ``params``, ``grads``, ``forward(x, train=False, stream=None)``,
+which keeps what the backward pass needs only when ``train`` is true, and
+``backward(g)``, which returns the input gradient and fills ``self.grads``
+keyed like ``self.params``. Only ``Dropout`` reads ``stream``.
+``grad_check`` compares any analytic gradient against central finite
+differences.
 """
 
 from __future__ import annotations
@@ -133,11 +136,6 @@ def avgpool3d(x, kernel=(1, 1, 4), stride=None):
     return _pool_view(np.asarray(x), kernel, stride).mean(axis=(-3, -2, -1))
 
 
-def maxpool3d(x, kernel=(1, 1, 2), stride=None):
-    stride = kernel if stride is None else stride
-    return _pool_view(np.asarray(x), kernel, stride).max(axis=(-3, -2, -1))
-
-
 def elu(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     return np.where(x > 0, x, np.expm1(np.minimum(x, 0.0)))
@@ -171,12 +169,12 @@ class Conv3d:
         self.grads = {}
         self._x = None
 
-    def forward(self, x, train=False, cache=None):
+    def forward(self, x, train=False, stream=None):
         try:
             y = conv3d_valid(x, self.params["w"], self.params["b"], self.stride)
         except ValueError as err:
             raise ValueError(f"{self.name}: {err}") from None
-        self._x = x if (train if cache is None else cache) else None
+        self._x = x if train else None
         return y
 
     def backward(self, gy):
@@ -201,7 +199,7 @@ class BatchNorm:
         self.grads = {}
         self._cache = None
 
-    def forward(self, x, train=False, cache=None):
+    def forward(self, x, train=False, stream=None):
         axes = (0, 2, 3, 4)
         shape = (1, -1, 1, 1, 1)
         if train:
@@ -215,20 +213,15 @@ class BatchNorm:
             mean, var = self.running_mean, self.running_var
         inv = 1.0 / np.sqrt(var + self.eps)
         xhat = (x - mean.reshape(shape)) * inv.reshape(shape)
-        if (train if cache is None else cache):
-            self._cache = (xhat, inv, train, x.shape)
-        else:
-            self._cache = None
+        self._cache = (xhat, inv, x.shape) if train else None
         return self.params["gamma"].reshape(shape) * xhat + self.params["beta"].reshape(shape)
 
     def backward(self, gy):
-        xhat, inv, train, xshape = self._cache
+        xhat, inv, xshape = self._cache
         axes = (0, 2, 3, 4)
         shape = (1, -1, 1, 1, 1)
         self.grads = {"gamma": (gy * xhat).sum(axis=axes), "beta": gy.sum(axis=axes)}
         g_xhat = gy * self.params["gamma"].reshape(shape)
-        if not train:
-            return g_xhat * inv.reshape(shape)
         m = xshape[0] * xshape[2] * xshape[3] * xshape[4]
         sum_g = g_xhat.sum(axis=axes).reshape(shape)
         sum_gx = (g_xhat * xhat).sum(axis=axes).reshape(shape)
@@ -242,9 +235,9 @@ class Elu:
         self._y = None
         self.name = name
 
-    def forward(self, x, train=False, cache=None):
+    def forward(self, x, train=False, stream=None):
         y = elu(x)
-        self._y = y if (train if cache is None else cache) else None
+        self._y = y if train else None
         return y
 
     def backward(self, gy):
@@ -260,7 +253,7 @@ class AvgPool3d:
         self.name = name
         self._shape = None
 
-    def forward(self, x, train=False, cache=None):
+    def forward(self, x, train=False, stream=None):
         try:
             y = avgpool3d(x, self.kernel, self.stride)
         except ValueError as err:
@@ -287,7 +280,7 @@ class MaxPool3d:
         self.name = name
         self._cache = None
 
-    def forward(self, x, train=False, cache=None):
+    def forward(self, x, train=False, stream=None):
         try:
             view = _pool_view(np.asarray(x), self.kernel, self.stride)
         except ValueError as err:
@@ -296,8 +289,7 @@ class MaxPool3d:
         flat = view.reshape(*view.shape[:5], -1)
         arg = flat.argmax(axis=-1)
         y = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-        if (train if cache is None else cache):
-            self._cache = (x.shape, arg)
+        self._cache = (x.shape, arg) if train else None
         return y
 
     def backward(self, gy):
@@ -324,7 +316,7 @@ class Dropout:
         self.name = name
         self._mask = None
 
-    def forward(self, x, train=False, cache=None, stream=None):
+    def forward(self, x, train=False, stream=None):
         if not train or self.p == 0.0:
             self._mask = None
             return x
@@ -345,12 +337,12 @@ class Dense:
         self.name = name
         self._x = None
 
-    def forward(self, x, train=False, cache=None):
+    def forward(self, x, train=False, stream=None):
         if x.shape[-1] != self.params["w"].shape[0]:
             raise ValueError(
                 f"{self.name}: input width {x.shape[-1]} != {self.params['w'].shape[0]}"
             )
-        self._x = x if (train if cache is None else cache) else None
+        self._x = x if train else None
         return x @ self.params["w"] + self.params["b"]
 
     def backward(self, gy):

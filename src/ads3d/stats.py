@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal, special
 
-from .eegio import EpochSet
+from .eegio import EpochSet, atomic_write
 from .montage import MontageMap
 from .synthgen import CLASS_NAMES
 
@@ -270,10 +270,8 @@ def _t_grid(report: StatsReport, montage: MontageMap):
     return cell_t, cell_mask
 
 
-def _write_csv(path, grid, fmt="{:.9g}"):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for row in grid:
-            fh.write(",".join(fmt.format(v) for v in row) + "\n")
+def _csv(grid, fmt="{:.9g}") -> str:
+    return "".join(",".join(fmt.format(v) for v in row) + "\n" for row in grid)
 
 
 def export_topomap(report: StatsReport, montage: MontageMap, path_prefix) -> dict:
@@ -287,8 +285,8 @@ def export_topomap(report: StatsReport, montage: MontageMap, path_prefix) -> dic
         "pgm": prefix + "_t.pgm",
         "report": prefix + "_report.txt",
     }
-    _write_csv(paths["t_csv"], cell_t)
-    _write_csv(paths["mask_csv"], cell_mask, fmt="{:d}")
+    atomic_write(paths["t_csv"], _csv(cell_t))
+    atomic_write(paths["mask_csv"], _csv(cell_mask, fmt="{:d}"))
     finite = cell_t[np.isfinite(cell_t)]
     tmax = float(np.max(np.abs(finite))) if finite.size else 0.0
     if tmax == 0.0:
@@ -299,9 +297,6 @@ def export_topomap(report: StatsReport, montage: MontageMap, path_prefix) -> dic
         pixels = np.clip(np.rint(scaled), 0, 255).astype(np.uint8)
     header = (f"P5\n# t in [-{tmax:.9g}, +{tmax:.9g}] mapped linearly "
               f"to [0, 255]; nan -> 128\n{montage.side} {montage.side}\n255\n")
-    with open(paths["pgm"], "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(pixels.tobytes())
-    with open(paths["report"], "w", encoding="utf-8") as fh:
-        fh.write(report.text())
+    atomic_write(paths["pgm"], header.encode("ascii") + pixels.tobytes())
+    atomic_write(paths["report"], report.text())
     return paths

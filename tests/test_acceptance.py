@@ -73,32 +73,16 @@ def test_criterion_2_per_layer_and_full_network_gradients():
     t0 = time.time()
     worst_layer = 0.0
     for name, layer, x in _layer_cases():
-        wt = RngStream(3, hash(name) % 1000).normal(
-            layer.forward(x, train=True).shape
-            if not isinstance(layer, attention.ChannelAttention)
-            else layer.forward(x).shape)
+        wt = RngStream(3, hash(name) % 1000).normal(layer.forward(x, train=True).shape)
+        arrays = [x] + [layer.params[k] for k in sorted(layer.params)]
 
-        if isinstance(layer, attention.ChannelAttention):
-            arrays = [x, layer.params.w_q, layer.params.w_k, layer.params.w_v]
-
-            def fn(want, layer=layer, x=x, wt=wt):
-                out = layer.forward(x)
-                loss = float((out * wt).sum())
-                if not want:
-                    return loss
-                gx = layer.backward(wt.copy())
-                return loss, [gx, layer.grads["wq"], layer.grads["wk"],
-                              layer.grads["wv"]]
-        else:
-            arrays = [x] + [layer.params[k] for k in sorted(layer.params)]
-
-            def fn(want, layer=layer, x=x, wt=wt):
-                out = layer.forward(x, train=True)
-                loss = float((out * wt).sum())
-                if not want:
-                    return loss
-                gx = layer.backward(wt.copy())
-                return loss, [gx] + [layer.grads[k] for k in sorted(layer.params)]
+        def fn(want, layer=layer, x=x, wt=wt):
+            out = layer.forward(x, train=True)
+            loss = float((out * wt).sum())
+            if not want:
+                return loss
+            gx = layer.backward(wt.copy())
+            return loss, [gx] + [layer.grads[k] for k in sorted(layer.params)]
 
         err = nncore.grad_check(fn, arrays, eps=1e-5)
         assert err < 1e-6, f"{name}: {err:.3e}"
@@ -136,18 +120,19 @@ def test_criterion_3_attention_invariants():
     assert np.max(np.abs(weights.sum(axis=-1) - 1.0)) < 1e-6
 
     x = s.normal((8, 16))
-    params = attention.AttentionParams(s.normal((16, 4)) * 0.4,
+    layer = attention.ChannelAttention(s.normal((16, 4)) * 0.4,
                                        s.normal((16, 4)) * 0.4,
                                        s.normal((16, 16)) * 0.4)
-    base = attention.channel_attention(x, params)
+    base = layer.forward(x)
     worst = 0.0
     for trial in range(100):
         perm = RngStream(6, trial).permutation(8)
-        permuted = attention.channel_attention(x[perm], params)
+        permuted = layer.forward(x[perm])
         worst = max(worst, float(np.max(np.abs(permuted - base[perm]))))
     assert worst < 1e-5
 
-    oracle = loop_attention(x, params.w_q, params.w_k, params.w_v)
+    p = layer.params
+    oracle = loop_attention(x, p["wq"], p["wk"], p["wv"])
     oracle_err = float(np.max(np.abs(base - oracle)))
     assert oracle_err < 1e-9
     _ok(3, f"rows sum to 1; equivariance err {worst:.1e} over 100 "

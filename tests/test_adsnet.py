@@ -3,7 +3,7 @@ import pytest
 from dataclasses import replace
 
 from ads3d import adsnet, eegio, nncore
-from ads3d.montage import reduced_montage_4x4
+from ads3d.montage import default_montage, reduced_montage_4x4
 from ads3d.rng import RngStream
 
 # Output sizes of every stage of the full configuration, (F, D, H, W).
@@ -42,10 +42,15 @@ def test_flat_head_width():
     assert adsnet.flat_features(adsnet.FULL_CONFIG) == 60 * 1 * 1 * 20 == 1200
 
 
+def both_models():
+    yield reduced_model()
+    yield adsnet.AdsNet(adsnet.FULL_CONFIG, default_montage(), seed=0)
+
+
 def test_param_count_formula_matches_live_arrays():
-    model = reduced_model()
-    live = sum(v.size for v in model.parameters().values())
-    assert live == adsnet.param_count(adsnet.REDUCED_CONFIG)
+    for model in both_models():
+        live = sum(v.size for v in model.parameters().values())
+        assert live == adsnet.param_count(model.config)
 
 
 def test_param_count_full_config_regression():
@@ -81,13 +86,14 @@ def test_logits_finite_and_softmax_normalized():
 
 
 def test_trace_matches_shape_chain():
-    model = reduced_model()
-    x = RngStream(3).normal((2, 16, 64))
-    trace = []
-    model.forward(x, trace=trace)
-    traced = dict(trace)
-    for stage, shape in adsnet.shape_chain(adsnet.REDUCED_CONFIG):
-        assert traced[stage] == shape, stage
+    for model in both_models():
+        cfg = model.config
+        x = RngStream(3).normal((2, cfg.n_channels, cfg.n_samples))
+        trace = []
+        model.forward(x, trace=trace)
+        traced = dict(trace)
+        for stage, shape in adsnet.shape_chain(cfg):
+            assert traced[stage] == shape, stage
 
 
 def test_channel_permutation_with_permuted_names_is_invariant():
@@ -185,3 +191,16 @@ def test_reduced_network_gradients_sampled():
 
     err = nncore.grad_check(fn, [params[n] for n in names], eps=1e-5, sample=4)
     assert err < 1e-5
+
+
+def test_load_state_rejects_wrong_shape_and_unexpected_entries():
+    model = reduced_model()
+    before = {k: v.copy() for k, v in model.state_arrays().items()}
+    state = model.state_arrays()
+    transposed = dict(state, **{"head.w": state["head.w"].T.copy()})
+    with pytest.raises(ValueError, match="head.w"):
+        model.load_state(transposed)
+    with pytest.raises(KeyError, match="bogus"):
+        model.load_state(dict(state, bogus=np.zeros(1)))
+    for name, arr in model.state_arrays().items():
+        assert np.array_equal(arr, before[name]), name

@@ -21,24 +21,21 @@ def loop_attention(x, w_q, w_k, w_v):
     return out
 
 
-def small_params(c=4, t=6, dk=3, dv=None, seed=0):
+def small_layer(c=4, t=6, dk=3, dv=None, seed=0):
     dv = t if dv is None else dv
     s = RngStream(seed)
-    return att.AttentionParams(
-        w_q=s.normal((t, dk)) * 0.3,
-        w_k=s.normal((t, dk)) * 0.3,
-        w_v=s.normal((t, dv)) * 0.3,
-    )
+    return att.ChannelAttention(s.normal((t, dk)) * 0.3,
+                                s.normal((t, dk)) * 0.3,
+                                s.normal((t, dv)) * 0.3)
 
 
 class TestProjection:
     def test_zero_input(self):
-        p = small_params()
-        q, k, v = att.project_qkv(np.zeros((4, 6)), p)
+        q, k, v = att.project_qkv(np.zeros((4, 6)), small_layer().params)
         assert not q.any() and not k.any() and not v.any()
 
     def test_identity_projection(self):
-        p = att.AttentionParams(np.eye(3), np.eye(3), np.eye(3))
+        p = att.ChannelAttention(np.eye(3), np.eye(3), np.eye(3)).params
         x = np.arange(6.0).reshape(2, 3)
         q, k, v = att.project_qkv(x, p)
         assert np.array_equal(q, x)
@@ -46,14 +43,13 @@ class TestProjection:
     def test_matrix_product_oracle(self):
         x = np.array([[1.0, 2.0, -1.0], [0.5, 0.0, 3.0]])
         w = np.array([[1.0, 0.0], [2.0, -1.0], [0.0, 0.5]])
-        p = att.AttentionParams(w, w.copy(), w.copy())
-        q, _, _ = att.project_qkv(x, p)
+        q, _, _ = att.project_qkv(x, {"wq": w, "wk": w.copy(), "wv": w.copy()})
         want = np.array([[1 + 4 + 0, 0 - 2 - 0.5], [0.5, 1.5]])
         assert np.allclose(q, want, atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="time axis"):
-            att.project_qkv(np.zeros((4, 7)), small_params())
+            att.project_qkv(np.zeros((4, 7)), small_layer().params)
 
 
 class TestScaledDotAttention:
@@ -82,9 +78,10 @@ class TestScaledDotAttention:
     def test_matches_loop_oracle(self):
         s = RngStream(5)
         x = s.normal((8, 16))
-        p = small_params(8, 16, dk=4, seed=6)
-        got = att.channel_attention(x, p)
-        want = loop_attention(x, p.w_q, p.w_k, p.w_v)
+        layer = small_layer(8, 16, dk=4, seed=6)
+        got = layer.forward(x)
+        p = layer.params
+        want = loop_attention(x, p["wq"], p["wk"], p["wv"])
         assert np.max(np.abs(got - want)) < 1e-9
 
     def test_rows_sum_to_one(self):
@@ -108,36 +105,35 @@ class TestScaledDotAttention:
 
 class TestChannelAttention:
     def test_zero_input_zero_output(self):
-        out = att.channel_attention(np.zeros((4, 6)), small_params())
+        out = small_layer().forward(np.zeros((4, 6)))
         assert not out.any()
 
     def test_shape_preserved(self):
         s = RngStream(9)
         x = s.normal((5, 6))
-        assert att.channel_attention(x, small_params(5, 6)).shape == (5, 6)
+        assert small_layer(5, 6).forward(x).shape == (5, 6)
 
     def test_dv_must_equal_t(self):
-        p = small_params(4, 6, dv=5)
         with pytest.raises(ValueError, match="d_v"):
-            att.channel_attention(np.zeros((4, 6)), p)
+            small_layer(4, 6, dv=5)
 
     def test_channel_permutation_equivariance(self):
         s = RngStream(10)
         x = s.normal((7, 9))
-        p = small_params(7, 9, dk=4, seed=11)
-        base = att.channel_attention(x, p)
+        layer = small_layer(7, 9, dk=4, seed=11)
+        base = layer.forward(x)
         for trial in range(20):
             perm = RngStream(12, trial).permutation(7)
-            permuted = att.channel_attention(x[perm], p)
+            permuted = layer.forward(x[perm])
             assert np.max(np.abs(permuted - base[perm])) < 1e-5
 
     def test_batched_matches_per_trial(self):
         s = RngStream(13)
         x = s.normal((3, 5, 8))
-        p = small_params(5, 8, dk=2, seed=14)
-        batch = att.channel_attention(x, p)
+        layer = small_layer(5, 8, dk=2, seed=14)
+        batch = layer.forward(x)
         for b in range(3):
-            assert np.allclose(batch[b], att.channel_attention(x[b], p), atol=1e-12)
+            assert np.allclose(batch[b], layer.forward(x[b]), atol=1e-12)
 
 
 class TestGradients:
@@ -148,10 +144,10 @@ class TestGradients:
                                      s.normal((8, 3)) * 0.4,
                                      s.normal((8, 8)) * 0.4)
         wt = s.normal((4, 8))
-        arrays = [x, layer.params.w_q, layer.params.w_k, layer.params.w_v]
+        arrays = [x, *layer.params.values()]
 
         def fn(want_grads):
-            out = layer.forward(x)
+            out = layer.forward(x, train=True)
             loss = float((out * wt).sum())
             if not want_grads:
                 return loss

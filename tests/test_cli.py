@@ -1,8 +1,13 @@
 import os
+import stat
 
+import numpy as np
 import pytest
 
 from ads3d import cli, eegio
+from ads3d.adsnet import REDUCED_CONFIG, AdsNet
+from ads3d.montage import default_montage, reduced_montage_4x4
+from ads3d.rng import RngStream
 
 
 def run(argv, capsys=None):
@@ -133,3 +138,38 @@ def test_help_lists_known_keys(capsys):
     out = capsys.readouterr().out
     for key in ("epochs", "lr", "weight_decay", "reduced", "jobs", "folds"):
         assert key in out
+
+
+def test_outputs_follow_the_umask(tmp_path):
+    raw = tmp_path / "raw.ads3"
+    old = os.umask(0o022)
+    try:
+        assert run(["synth", f"out={raw}", "seed=2", "trials_per_class=3"]) == 0
+        assert run(["stats", f"in={raw}", f"out_prefix={tmp_path}/s",
+                    "class_a=split", "class_b=hovering", "band=alpha"]) == 0
+    finally:
+        os.umask(old)
+    names = sorted(os.listdir(tmp_path))
+    assert len(names) == 8, names   # .ads3, 4 topomap files, anova, 2 configs
+    for name in names:
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o644, name
+
+
+def test_eval_rejects_mismatched_checkpoint(tmp_path, capsys):
+    epochs = eegio.EpochSet(
+        data=RngStream(1).normal((4, 64, 300)).astype(np.float32),
+        labels=np.arange(4, dtype=np.uint8), fs=250.0,
+        channel_names=default_montage().channel_names)
+    eegio.write_epochset(epochs, tmp_path / "e.ads3")
+    ckpt = AdsNet(REDUCED_CONFIG, reduced_montage_4x4()).to_checkpoint(
+        {"model": "reduced", "input_scale": "1.0"})
+    transposed = [(n, d[::-1] if n == "head.w" else d, v) for n, d, v in ckpt.entries]
+    extra = ckpt.entries + [("bogus", (1,), np.zeros(1, dtype=np.float32))]
+    for entries, name in ((transposed, "head.w"), (extra, "bogus")):
+        path = tmp_path / f"{name}.ckpt"
+        eegio.write_checkpoint(eegio.ModelCheckpoint(entries, ckpt.metadata), path)
+        code = run(["eval", f"in={tmp_path}/e.ads3", f"checkpoint={path}",
+                    f"out={tmp_path}/m.txt"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: runtime:") and name in err[0]

@@ -95,17 +95,17 @@ class TestPooling:
         x = np.zeros((1, 20, 3, 3, 862))
         assert nn.avgpool3d(x, (1, 1, 4)).shape == (1, 20, 3, 3, 215)
         x = np.zeros((1, 12, 4, 4, 931))
-        assert nn.maxpool3d(x, (1, 1, 2)).shape == (1, 12, 4, 4, 465)
+        assert nn.MaxPool3d((1, 1, 2)).forward(x).shape == (1, 12, 4, 4, 465)
 
     def test_constant_input(self):
         x = np.full((1, 2, 2, 2, 8), 3.25)
         assert np.all(nn.avgpool3d(x, (1, 1, 4)) == 3.25)
-        assert np.all(nn.maxpool3d(x, (1, 1, 4)) == 3.25)
+        assert np.all(nn.MaxPool3d((1, 1, 4)).forward(x) == 3.25)
 
     def test_avg_is_mean_max_is_max(self):
         x = np.arange(8.0).reshape(1, 1, 1, 1, 8)
         assert np.array_equal(nn.avgpool3d(x, (1, 1, 2)).ravel(), [0.5, 2.5, 4.5, 6.5])
-        assert np.array_equal(nn.maxpool3d(x, (1, 1, 2)).ravel(), [1, 3, 5, 7])
+        assert np.array_equal(nn.MaxPool3d((1, 1, 2)).forward(x).ravel(), [1, 3, 5, 7])
 
     def test_kernel_larger_than_axis(self):
         with pytest.raises(ValueError, match="larger"):
@@ -289,7 +289,7 @@ class TestDenseSoftmax:
         labels = np.array([0, 2, 3])
 
         def fn(want):
-            logits = layer.forward(x, cache=True)
+            logits = layer.forward(x, train=True)
             loss, g = nn.cross_entropy(logits, labels)
             if not want:
                 return loss
