@@ -196,7 +196,7 @@ def cmd_synth(config: dict) -> None:
 def cmd_preprocess(config: dict) -> None:
     epochs = eegio.read_epochset(config["in"])
     data, fs = dsp.preprocess_array(
-        epochs.data.astype(np.float64), epochs.fs,
+        epochs.data, epochs.fs,
         notch_hz=config["notch_hz"],
         band=(config["band_low"], config["band_high"]),
         order=config["order"], target_fs=config["target_fs"],
@@ -287,12 +287,13 @@ def cmd_stats(config: dict) -> None:
     epochs = eegio.read_epochset(config["in"])
     montage = _load_montage(config)
     win = config["welch_window"] or None
+    powers = stats.trial_band_powers(epochs, band, win=win,
+                                     log_power=config["log_power"])
     report = stats.contrast_topography(
-        epochs, config["class_a"], config["class_b"], band,
-        alpha=config["alpha_level"], win=win, log_power=config["log_power"])
+        epochs, powers, config["class_a"], config["class_b"], band,
+        alpha=config["alpha_level"])
     paths = stats.export_topomap(report, montage, config["out_prefix"])
-    anova = stats.class_channel_anova(epochs, band, win=win,
-                                      log_power=config["log_power"])
+    anova = stats.class_channel_anova(epochs, powers)
     anova_lines = [f"# two-way ANOVA, factors class x channel, band {band.name}",
                    f"# {stats.REPLICATE_NOTE}"]
     for key, label in (("a", "class"), ("b", "channel"), ("ab", "interaction")):
@@ -354,7 +355,11 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"error: io: {err}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, FloatingPointError) as err:
+    except KeyError as err:
+        # str() of a KeyError quotes its message; print it as written.
+        print(f"error: runtime: {err.args[0] if err.args else err}", file=sys.stderr)
+        return 1
+    except (ValueError, FloatingPointError) as err:
         print(f"error: runtime: {err}", file=sys.stderr)
         return 1
 

@@ -4,6 +4,12 @@ Filters are designed as cascades of second-order sections and applied
 forward-backward (zero phase), so a single design attenuates twice as many
 dB in use. The canonical chain for raw 500 Hz recordings is
 ``notch60 -> bandpass 4-40 Hz -> downsample to 250 Hz -> extract_epoch``.
+
+Every step acts on each row (one channel of one trial) alone, so
+``preprocess_array`` runs the chain over blocks of rows and holds one block
+in float64 at a time; the output is bit-identical to a whole-array run.
+``scipy.signal`` is imported where it is used, which keeps it out of
+commands that never filter.
 """
 
 from __future__ import annotations
@@ -11,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
+
+# Bytes of float64 input rows processed per block by preprocess_array.
+BLOCK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -46,6 +54,7 @@ class BiquadCascade:
 def design_butter_bandpass(low: float = 4.0, high: float = 40.0,
                            fs: float = 500.0, order: int = 5) -> BiquadCascade:
     """Butterworth band-pass; an order-N design yields N biquad sections."""
+    from scipy import signal
     if not (0.0 < low < high < fs / 2.0):
         raise ValueError(f"invalid band edges ({low}, {high}) for fs={fs}")
     sos = signal.butter(order, [low, high], btype="bandpass", fs=fs, output="sos")
@@ -59,6 +68,7 @@ def design_butter_bandpass(low: float = 4.0, high: float = 40.0,
 def design_notch(freq: float = 60.0, fs: float = 500.0, q: float = 30.0) -> BiquadCascade:
     if fs <= 2.0 * freq:
         raise ValueError(f"fs={fs} too low for a {freq} Hz notch")
+    from scipy import signal
     b, a = signal.iirnotch(freq, q, fs=fs)
     b = b / a[0]
     a = a / a[0]
@@ -70,6 +80,7 @@ def design_notch(freq: float = 60.0, fs: float = 500.0, q: float = 30.0) -> Biqu
 
 def magnitude(cascade: BiquadCascade, freqs, fs: float) -> np.ndarray:
     """|H(f)| of the cascade at the given frequencies for a single pass."""
+    from scipy import signal
     _, h = signal.sosfreqz(cascade.as_sos(), worN=np.atleast_1d(freqs), fs=fs)
     return np.abs(h)
 
@@ -83,6 +94,7 @@ def _odd_pad(x: np.ndarray, padlen: int) -> np.ndarray:
 def _causal_pass(sos, zi_unit, x):
     """One left-to-right pass with the state pre-charged to the steady-state
     response of the first sample."""
+    from scipy import signal
     batch_shape = x.shape[:-1]
     zi = (zi_unit.reshape(zi_unit.shape[0], *([1] * len(batch_shape)), 2)
           * x[None, ..., :1])
@@ -105,13 +117,14 @@ def filtfilt(cascade: BiquadCascade, x: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"input too short: need more than {padlen} samples, got {x.shape[-1]}"
         )
+    from scipy import signal
     sos = cascade.as_sos()
     zi_unit = signal.sosfilt_zi(sos)
     padded = _odd_pad(x, padlen)
-    rev = padded[..., ::-1]
-    fwd_bwd = _causal_pass(sos, zi_unit, _causal_pass(sos, zi_unit, padded)[..., ::-1])[..., ::-1]
-    bwd_fwd = _causal_pass(sos, zi_unit, _causal_pass(sos, zi_unit, rev)[..., ::-1])
-    y = 0.5 * (fwd_bwd + bwd_fwd)
+    # y = 0.5 * (fwd_bwd + bwd_fwd), accumulated in place.
+    y = _causal_pass(sos, zi_unit, _causal_pass(sos, zi_unit, padded)[..., ::-1])[..., ::-1]
+    y += _causal_pass(sos, zi_unit, _causal_pass(sos, zi_unit, padded[..., ::-1])[..., ::-1])
+    y *= 0.5
     return np.ascontiguousarray(y[..., padlen:-padlen])
 
 
@@ -143,13 +156,23 @@ def preprocess_array(data: np.ndarray, fs: float, *, notch_hz: float = 60.0,
                      band: tuple[float, float] = (4.0, 40.0), order: int = 5,
                      target_fs: float = 250.0, epoch_onset: int = 0,
                      epoch_length: int = 1001) -> tuple[np.ndarray, float]:
-    """Full chain on [..., samples] data; returns (epochs, new_fs)."""
+    """Full chain on [..., samples] data of any float dtype; returns
+    (float64 epochs, new_fs). Rows are filtered BLOCK_BYTES of float64 at a
+    time, straight into the output."""
     factor = int(round(fs / target_fs))
     if factor < 1 or abs(fs / factor - target_fs) > 1e-9:
         raise ValueError(f"fs={fs} is not an integer multiple of {target_fs}")
-    x = np.asarray(data, dtype=np.float64)
-    if notch_hz:
-        x = filtfilt(design_notch(notch_hz, fs), x)
-    x = filtfilt(design_butter_bandpass(band[0], band[1], fs, order), x)
-    x = downsample(x, factor)
-    return extract_epoch(x, epoch_onset, epoch_length), fs / factor
+    filters = [design_notch(notch_hz, fs)] if notch_hz else []
+    filters.append(design_butter_bandpass(band[0], band[1], fs, order))
+    data = np.asarray(data)
+    rows = data.reshape(-1, data.shape[-1])
+    out = np.empty(data.shape[:-1] + (epoch_length,))
+    out_rows = out.reshape(-1, epoch_length)
+    step = max(1, BLOCK_BYTES // (8 * data.shape[-1]))
+    for lo in range(0, rows.shape[0], step):
+        x = rows[lo:lo + step]
+        for cascade in filters:
+            x = filtfilt(cascade, x)
+        out_rows[lo:lo + step] = extract_epoch(downsample(x, factor),
+                                               epoch_onset, epoch_length)
+    return out, fs / factor

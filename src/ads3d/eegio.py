@@ -110,12 +110,11 @@ class ModelCheckpoint:
                 )
 
 
-def atomic_write(path, payload) -> None:
-    """Write bytes, or text as UTF-8, to a temporary file beside path, then
-    rename it over path. The file gets the mode a plain open() would give:
-    0o666 minus the umask."""
-    if isinstance(payload, str):
-        payload = payload.encode("utf-8")
+def atomic_write(path, *parts) -> None:
+    """Write the parts (text as UTF-8, or any contiguous buffer such as
+    bytes or an array) one after another to a temporary file beside path,
+    then rename it over path. The file gets the mode a plain open() would
+    give: 0o666 minus the umask."""
     umask = os.umask(0)
     os.umask(umask)
     directory = os.path.dirname(os.path.abspath(path))
@@ -123,7 +122,8 @@ def atomic_write(path, payload) -> None:
     try:
         with os.fdopen(fd, "wb") as fh:
             os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(payload)
+            for part in parts:
+                fh.write(part.encode("utf-8") if isinstance(part, str) else part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -138,47 +138,65 @@ def write_epochset(epochs: EpochSet, path) -> None:
         "<4sHIHIf", EPOCH_MAGIC, FORMAT_VERSION, n_trials, n_channels,
         n_samples, float(epochs.fs),
     )
-    parts = [head, epochs.labels.tobytes()]
-    parts.extend(_ascii_name(n) for n in epochs.channel_names)
-    parts.append(epochs.data.astype("<f4").tobytes())
-    atomic_write(path, b"".join(parts))
+    atomic_write(path, head, epochs.labels,
+                 *(_ascii_name(n) for n in epochs.channel_names),
+                 np.ascontiguousarray(epochs.data, dtype="<f4"))
 
 
 class _Reader:
-    def __init__(self, path):
-        with open(path, "rb") as fh:
-            self.buf = fh.read()
-        self.pos = 0
+    """Reads a container front to back. Every request is checked against
+    the bytes left in the file before anything is allocated for it."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.left = os.fstat(fh.fileno()).st_size
+
+    def _claim(self, n: int) -> None:
+        if n > self.left:
+            raise FormatError("truncated payload")
+        self.left -= n
 
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
+        self._claim(n)
+        out = self.fh.read(n)
+        if len(out) != n:
             raise FormatError("truncated payload")
-        out = self.buf[self.pos:self.pos + n]
-        self.pos += n
+        return out
+
+    def text(self, n: int, encoding: str) -> str:
+        try:
+            return self.take(n).decode(encoding)
+        except UnicodeDecodeError as err:
+            raise FormatError(f"undecodable text: {err}") from None
+
+    def array(self, count: int, dtype) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        self._claim(count * dtype.itemsize)
+        out = np.empty(count, dtype=dtype)
+        if self.fh.readinto(out) != out.nbytes:
+            raise FormatError("truncated payload")
         return out
 
     def unpack(self, fmt: str):
         return struct.unpack("<" + fmt, self.take(struct.calcsize("<" + fmt)))
 
     def done(self):
-        if self.pos != len(self.buf):
+        if self.left:
             raise FormatError("trailing bytes after payload")
 
 
 def read_epochset(path) -> EpochSet:
-    r = _Reader(path)
-    magic, version, n_trials, n_channels, n_samples, fs = r.unpack("4sHIHIf")
-    if magic != EPOCH_MAGIC:
-        raise FormatError(f"bad magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported format version {version}")
-    labels = np.frombuffer(r.take(n_trials), dtype=np.uint8).copy()
-    names = tuple(
-        r.take(NAME_FIELD).rstrip(b" ").decode("ascii") for _ in range(n_channels)
-    )
-    count = n_trials * n_channels * n_samples
-    data = np.frombuffer(r.take(4 * count), dtype="<f4").copy()
-    r.done()
+    with open(path, "rb") as fh:
+        r = _Reader(fh)
+        magic, version, n_trials, n_channels, n_samples, fs = r.unpack("4sHIHIf")
+        if magic != EPOCH_MAGIC:
+            raise FormatError(f"bad magic {magic!r}")
+        if version != FORMAT_VERSION:
+            raise FormatError(f"unsupported format version {version}")
+        labels = r.array(n_trials, np.uint8)
+        names = tuple(r.text(NAME_FIELD, "ascii").rstrip(" ") for _ in range(n_channels))
+        data = r.array(n_trials * n_channels * n_samples, "<f4")
+        r.done()
     data = data.reshape(n_trials, n_channels, n_samples)
     return EpochSet(data=data, labels=labels, fs=fs, channel_names=names)
 
@@ -193,43 +211,43 @@ def write_checkpoint(ckpt: ModelCheckpoint, path) -> None:
         parts.append(struct.pack("<H", len(raw)))
         parts.append(raw)
         parts.append(struct.pack("<B", len(dims)))
-        parts.append(struct.pack(f"<{len(dims)}I", *dims) if dims else b"")
-        parts.append(np.ascontiguousarray(values, dtype="<f4").tobytes())
+        parts.append(struct.pack(f"<{len(dims)}I", *dims))
+        parts.append(np.ascontiguousarray(values, dtype="<f4"))
     parts.append(struct.pack("<I", len(ckpt.metadata)))
     for key, value in ckpt.metadata.items():
         for s in (key, value):
             raw = str(s).encode("utf-8")
             parts.append(struct.pack("<H", len(raw)))
             parts.append(raw)
-    atomic_write(path, b"".join(parts))
+    atomic_write(path, *parts)
 
 
 def read_checkpoint(path) -> ModelCheckpoint:
-    r = _Reader(path)
-    magic, version, n_entries = r.unpack("4sHI")
-    if magic != CKPT_MAGIC:
-        raise FormatError(f"bad magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"unsupported format version {version}")
-    entries = []
-    for _ in range(n_entries):
-        (name_len,) = r.unpack("H")
-        name = r.take(name_len).decode("utf-8")
-        (ndim,) = r.unpack("B")
-        dims = tuple(r.unpack(f"{ndim}I")) if ndim else ()
-        count = 1
-        for d in dims:
-            count *= d
-        values = np.frombuffer(r.take(4 * count), dtype="<f4").copy()
-        entries.append((name, dims, values))
-    (n_meta,) = r.unpack("I")
-    metadata = {}
-    for _ in range(n_meta):
-        (klen,) = r.unpack("H")
-        key = r.take(klen).decode("utf-8")
-        (vlen,) = r.unpack("H")
-        metadata[key] = r.take(vlen).decode("utf-8")
-    r.done()
+    with open(path, "rb") as fh:
+        r = _Reader(fh)
+        magic, version, n_entries = r.unpack("4sHI")
+        if magic != CKPT_MAGIC:
+            raise FormatError(f"bad magic {magic!r}")
+        if version != FORMAT_VERSION:
+            raise FormatError(f"unsupported format version {version}")
+        entries = []
+        for _ in range(n_entries):
+            (name_len,) = r.unpack("H")
+            name = r.text(name_len, "utf-8")
+            (ndim,) = r.unpack("B")
+            dims = r.unpack(f"{ndim}I")
+            count = 1
+            for d in dims:
+                count *= d
+            entries.append((name, dims, r.array(count, "<f4")))
+        (n_meta,) = r.unpack("I")
+        metadata = {}
+        for _ in range(n_meta):
+            (klen,) = r.unpack("H")
+            key = r.text(klen, "utf-8")
+            (vlen,) = r.unpack("H")
+            metadata[key] = r.text(vlen, "utf-8")
+        r.done()
     ckpt = ModelCheckpoint(entries=entries, metadata=metadata, format_version=version)
     ckpt.validate()
     return ckpt

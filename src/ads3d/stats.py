@@ -4,6 +4,10 @@ correction, class-by-channel two-way ANOVA, and grid topography export.
 All tests here use trials within a single recording as the replicate unit;
 every report says so in its header. Tail probabilities for t and F come
 from the regularized incomplete beta function.
+
+Band powers are computed once per corpus with ``trial_band_powers`` and
+passed to the tests that use them. ``welch_psd`` runs over blocks of rows,
+holding one block in float64 at a time.
 """
 
 from __future__ import annotations
@@ -11,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal, special
+from scipy import special
 
+from . import dsp
 from .eegio import EpochSet, atomic_write
 from .montage import MontageMap
 from .synthgen import CLASS_NAMES
@@ -44,15 +49,24 @@ class DegenerateContrastError(ValueError):
 def welch_psd(x: np.ndarray, fs: float, win: int | None = None,
               overlap: float = 0.5):
     """One-sided Welch density (Hann window, per-segment mean removal)
-    along the last axis. Returns (freqs, psd)."""
-    x = np.asarray(x, dtype=np.float64)
+    along the last axis. Returns (freqs, psd). Rows are cast to float64 and
+    transformed dsp.BLOCK_BYTES at a time; each row's result is the same
+    bits as a whole-array call."""
+    from scipy import fft, signal
+    x = np.asarray(x)
     win = int(round(fs)) if win is None else int(win)
     if win > x.shape[-1]:
         raise ValueError(f"window {win} longer than signal {x.shape[-1]}")
-    freqs, psd = signal.welch(x, fs=fs, window="hann", nperseg=win,
-                              noverlap=int(win * overlap), detrend="constant",
-                              scaling="density", axis=-1)
-    return freqs, psd
+    rows = x.reshape(-1, x.shape[-1])
+    freqs = fft.rfftfreq(win, 1.0 / fs)
+    psd = np.empty((rows.shape[0], freqs.size))
+    step = max(1, dsp.BLOCK_BYTES // (8 * x.shape[-1]))
+    for lo in range(0, rows.shape[0], step):
+        _, psd[lo:lo + step] = signal.welch(
+            np.asarray(rows[lo:lo + step], dtype=np.float64), fs=fs,
+            window="hann", nperseg=win, noverlap=int(win * overlap),
+            detrend="constant", scaling="density", axis=-1)
+    return freqs, psd.reshape(x.shape[:-1] + (freqs.size,))
 
 
 def band_power(psd: np.ndarray, freqs: np.ndarray, band: BandSpec) -> np.ndarray:
@@ -156,7 +170,8 @@ def _class_set(spec) -> tuple[int, ...]:
 
 def trial_band_powers(epochs: EpochSet, band: BandSpec, win: int | None = None,
                       log_power: bool = False) -> np.ndarray:
-    """[n_trials, n_channels] band power per trial."""
+    """[n_trials, n_channels] band power per trial, the input of
+    contrast_topography and class_channel_anova."""
     freqs, psd = welch_psd(epochs.data, epochs.fs, win=win)
     power = band_power(psd, freqs, band)
     return np.log(power) if log_power else power
@@ -201,10 +216,10 @@ class StatsReport:
         return "\n".join(lines) + "\n"
 
 
-def contrast_topography(epochs: EpochSet, class_a, class_b, band: BandSpec,
-                        alpha: float = 0.01, win: int | None = None,
-                        log_power: bool = False) -> StatsReport:
-    """Per-channel paired band-power t-test between two class sets.
+def contrast_topography(epochs: EpochSet, powers: np.ndarray, class_a, class_b,
+                        band: BandSpec, alpha: float = 0.01) -> StatsReport:
+    """Per-channel paired t-test between two class sets of the trials'
+    band powers (trial_band_powers of epochs in band).
 
     Trials are paired by sorted trial order; the pair count is the smaller
     class-set size. Degenerate channels get t = p = nan and never enter the
@@ -221,7 +236,6 @@ def contrast_topography(epochs: EpochSet, class_a, class_b, band: BandSpec,
     n = min(idx_a.size, idx_b.size)
     if n < 2:
         raise ValueError("need at least 2 pairs")
-    powers = trial_band_powers(epochs, band, win=win, log_power=log_power)
     pa, pb = powers[idx_a[:n]], powers[idx_b[:n]]
     n_ch = epochs.n_channels
     t = np.full(n_ch, np.nan)
@@ -242,12 +256,10 @@ def contrast_topography(epochs: EpochSet, class_a, class_b, band: BandSpec,
     )
 
 
-def class_channel_anova(epochs: EpochSet, band: BandSpec,
-                        win: int | None = None,
-                        log_power: bool = False) -> AnovaResult:
-    """Two-way ANOVA, factors class x channel, replicates = trials.
-    Classes are truncated to the smallest class count to stay balanced."""
-    powers = trial_band_powers(epochs, band, win=win, log_power=log_power)
+def class_channel_anova(epochs: EpochSet, powers: np.ndarray) -> AnovaResult:
+    """Two-way ANOVA of the trials' band powers, factors class x channel,
+    replicates = trials. Classes are truncated to the smallest class count
+    to stay balanced."""
     labels = epochs.labels
     classes = np.unique(labels)
     r = min(np.count_nonzero(labels == c) for c in classes)

@@ -175,17 +175,19 @@ def generate(config: SynthConfig) -> EpochSet:
     chan_index = {n.lower(): i for i, n in enumerate(config.channel_names)}
     n = config.n_samples
     t = np.arange(n) / config.fs
-    data = np.empty((n_trials, len(config.channel_names), n), dtype=np.float64)
-    # Small chunks keep the draw/transform working set near cache size.
+    data = np.empty((n_trials, len(config.channel_names), n), dtype=np.float32)
+    # Small chunks keep the draw/transform working set near cache size; each
+    # is finished in float64 and only then stored as float32.
     chunk = max(1, min(n_trials, int(2e6 // (len(config.channel_names) * n))))
     for lo in range(0, n_trials, chunk):
         hi = min(n_trials, lo + chunk)
-        data[lo:hi] = _noise_block(config, np.arange(lo, hi))
-    for trial in range(n_trials):
-        _apply_bursts(data[trial], config, trial, int(labels[trial]), chan_index)
-        if config.line_amplitude_uv > 0:
-            phase = 2.0 * np.pi * RngStream(config.seed, _LINE, trial).uniform()
-            data[trial] += config.line_amplitude_uv * np.sin(2.0 * np.pi * 60.0 * t + phase)
+        block = _noise_block(config, np.arange(lo, hi))
+        for trial, row in zip(range(lo, hi), block):
+            _apply_bursts(row, config, trial, int(labels[trial]), chan_index)
+            if config.line_amplitude_uv > 0:
+                phase = 2.0 * np.pi * RngStream(config.seed, _LINE, trial).uniform()
+                row += config.line_amplitude_uv * np.sin(2.0 * np.pi * 60.0 * t + phase)
+        data[lo:hi] = block
     return EpochSet(data=data, labels=labels, fs=config.fs,
                     channel_names=config.channel_names)
 

@@ -269,10 +269,11 @@ def test_criterion_8_planted_effect_recovery():
         pre = eegio.EpochSet(data=data, labels=raw.labels, fs=fs,
                              channel_names=raw.channel_names)
         rep_a = stats.contrast_topography(
-            pre, ("split", "spread_out", "fall_in"), "hovering",
-            stats.ALPHA_BAND)
+            pre, stats.trial_band_powers(pre, stats.ALPHA_BAND),
+            ("split", "spread_out", "fall_in"), "hovering", stats.ALPHA_BAND)
         rep_b = stats.contrast_topography(
-            pre, ("split", "spread_out"), "fall_in", stats.BETA_BAND)
+            pre, stats.trial_band_powers(pre, stats.BETA_BAND),
+            ("split", "spread_out"), "fall_in", stats.BETA_BAND)
         sig_a = set(rep_a.significant_channels())
         sig_b = set(rep_b.significant_channels())
         alpha_hits += alpha_planted <= sig_a

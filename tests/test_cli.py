@@ -1,5 +1,8 @@
 import os
 import stat
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -173,3 +176,45 @@ def test_eval_rejects_mismatched_checkpoint(tmp_path, capsys):
         err = capsys.readouterr().err.splitlines()
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error: runtime:") and name in err[0]
+
+
+def test_eval_error_line_has_no_added_quotes(tmp_path, capsys):
+    epochs = eegio.EpochSet(
+        data=RngStream(2).normal((4, 64, 300)).astype(np.float32),
+        labels=np.arange(4, dtype=np.uint8), fs=250.0,
+        channel_names=default_montage().channel_names)
+    eegio.write_epochset(epochs, tmp_path / "e.ads3")
+    ckpt = AdsNet(REDUCED_CONFIG, reduced_montage_4x4()).to_checkpoint(
+        {"model": "reduced", "input_scale": "1.0"})
+    entries = [e for e in ckpt.entries if e[0] != "attn.wq"]
+    eegio.write_checkpoint(eegio.ModelCheckpoint(entries, ckpt.metadata),
+                           tmp_path / "m.ckpt")
+    code = run(["eval", f"in={tmp_path}/e.ads3", f"checkpoint={tmp_path}/m.ckpt",
+                f"out={tmp_path}/m.txt"])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "error: runtime: missing state entries: ['attn.wq']\n"
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    code = "import sys, ads3d.cli; print('scipy.signal' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+def test_preprocess_peak_memory_is_bounded(tmp_path):
+    # 32 trials x 64 channels x 4001 samples at 1000 Hz: the raw file is
+    # 32.8 MB. A whole-corpus float64 chain traced about 15x that.
+    import scipy.signal  # noqa: F401  (its import is not part of the bound)
+    raw = tmp_path / "raw.ads3"
+    assert run(["synth", f"out={raw}", "seed=4", "trials_per_class=8",
+                "fs=1000"]) == 0
+    tracemalloc.start()
+    try:
+        assert run(["preprocess", f"in={raw}", f"out={tmp_path}/pre.ads3"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * raw.stat().st_size, peak / raw.stat().st_size

@@ -202,3 +202,25 @@ def test_preprocess_chain_shapes():
     out, fs = dsp.preprocess_array(raw, 500.0)
     assert out.shape == (3, 4, 1001)
     assert fs == 250.0
+
+
+def _whole_array_chain(raw, fs):
+    """The chain as one whole-array pass per step: the blocking oracle."""
+    x = dsp.filtfilt(dsp.design_notch(60.0, fs), raw.astype(np.float64))
+    x = dsp.filtfilt(dsp.design_butter_bandpass(4.0, 40.0, fs, 5), x)
+    return dsp.extract_epoch(dsp.downsample(x, int(fs // 250)), 0, 1001)
+
+
+@pytest.mark.parametrize("block_rows", [None, 3])
+def test_preprocess_blocks_are_bit_identical(monkeypatch, block_rows):
+    # 5 trials x 4 channels = 20 rows: with 3-row blocks the last block is
+    # short, and one trial (4 rows) straddles a block boundary.
+    raw = np.random.default_rng(5).standard_normal((5, 4, 2001)).astype(np.float32)
+    if block_rows:
+        monkeypatch.setattr(dsp, "BLOCK_BYTES", block_rows * 8 * raw.shape[-1])
+    whole, fs = dsp.preprocess_array(raw, 500.0)
+    assert fs == 250.0 and whole.dtype == np.float64
+    assert np.array_equal(whole, _whole_array_chain(raw, 500.0))
+    singles = [dsp.preprocess_array(raw[i:i + 1], 500.0)[0] for i in range(5)]
+    assert np.array_equal(whole, np.concatenate(singles))
+    assert np.array_equal(singles[0], _whole_array_chain(raw[:1], 500.0))

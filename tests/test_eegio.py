@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,3 +144,83 @@ def test_files_are_little_endian(tmp_path):
     assert raw[6:10] == (1).to_bytes(4, "little")
     # final f32 sample is 1.0 little-endian
     assert raw[-4:] == np.float32(1.0).tobytes()
+
+
+# -- fuzzing the readers ---------------------------------------------------------
+
+def _epoch_bytes(tmp):
+    rng = np.random.default_rng(3)
+    es = eegio.EpochSet(data=rng.standard_normal((4, 8, 512)).astype(np.float32),
+                        labels=np.arange(4), fs=250.0,
+                        channel_names=[f"ch{i}" for i in range(8)])
+    eegio.write_epochset(es, tmp / "seed.ads3")
+    return (tmp / "seed.ads3").read_bytes()
+
+
+def _checkpoint_bytes(tmp):
+    rng = np.random.default_rng(4)
+    ckpt = eegio.ModelCheckpoint(
+        entries=[("b1.conv1.w", (8, 16, 64), rng.standard_normal(8192).astype(np.float32)),
+                 ("scale", (), np.ones(1, dtype=np.float32)),
+                 ("head.b", (4,), np.zeros(4, dtype=np.float32))],
+        metadata={"model": "reduced", "fold": "0"})
+    eegio.write_checkpoint(ckpt, tmp / "seed.adsw")
+    return (tmp / "seed.adsw").read_bytes()
+
+
+# A position near the header, where a flip changes declared sizes, or anywhere.
+_POSITION = st.one_of(st.integers(0, 80), st.integers(0, 2**31))
+_MUTATION = st.one_of(
+    st.tuples(st.just("truncate"), _POSITION),
+    st.tuples(st.just("extend"), st.binary(min_size=1, max_size=64)),
+    st.tuples(st.just("flip"), st.lists(st.tuples(_POSITION, st.integers(0, 7)),
+                                        min_size=1, max_size=8)),
+)
+# Allocations a read may add to the payload it returns: the file object and
+# a few small Python objects.
+_READ_SLACK = 16 << 10
+
+
+def _mutate(raw: bytes, mutation) -> bytes:
+    kind, arg = mutation
+    if kind == "truncate":
+        return raw[:arg % len(raw)]
+    if kind == "extend":
+        return raw + arg
+    out = bytearray(raw)
+    for pos, bit in arg:
+        out[pos % len(out)] ^= 1 << bit
+    return bytes(out)
+
+
+def _read_within_file_size(reader, path):
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        reader(path)
+    except eegio.FormatError:
+        pass
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak <= size + _READ_SLACK, (peak, size)
+
+
+@pytest.mark.parametrize("make, reader", [
+    (_epoch_bytes, eegio.read_epochset),
+    (_checkpoint_bytes, eegio.read_checkpoint),
+], ids=["epochset", "checkpoint"])
+def test_reader_fuzz_raises_only_format_error(tmp_path_factory, make, reader):
+    work = tmp_path_factory.mktemp("fuzz") / "x"
+    raw = make(work.parent)
+    work.write_bytes(raw)
+    reader(work)
+    _read_within_file_size(reader, work)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mutation=_MUTATION)
+    def check(mutation):
+        work.write_bytes(_mutate(raw, mutation))
+        _read_within_file_size(reader, work)
+
+    check()

@@ -7,6 +7,11 @@ from ads3d.montage import default_montage
 from ads3d.rng import RngStream
 
 
+def _contrast(epochs, class_a, class_b, band):
+    powers = stats.trial_band_powers(epochs, band)
+    return stats.contrast_topography(epochs, powers, class_a, class_b, band)
+
+
 class TestWelch:
     def test_zero_signal(self):
         _, psd = stats.welch_psd(np.zeros(1000), fs=250.0)
@@ -46,6 +51,30 @@ class TestWelch:
         spec = np.abs(np.fft.rfft(seg)) ** 2 / (fs * (win ** 2).sum())
         spec[1:-1] *= 2.0
         assert np.allclose(psd, spec, rtol=1e-10, atol=1e-18)
+
+
+@pytest.mark.parametrize("block_rows", [None, 5])
+def test_band_powers_blocks_are_bit_identical(monkeypatch, block_rows):
+    # 3 trials x 4 channels = 12 rows: 5-row blocks end short and split
+    # trials; a 1-trial corpus is the per-trial reference.
+    from scipy import signal
+    from ads3d import dsp
+    data = RngStream(20).normal((3, 4, 1001)).astype(np.float32)
+    es = eegio.EpochSet(data=data, labels=np.array([0, 1, 3]), fs=250.0,
+                        channel_names=("a", "b", "c", "d"))
+    if block_rows:
+        monkeypatch.setattr(dsp, "BLOCK_BYTES", block_rows * 8 * data.shape[-1])
+    freqs, psd = stats.welch_psd(data, es.fs)
+    ref_freqs, ref = signal.welch(data.astype(np.float64), fs=250.0, window="hann",
+                                  nperseg=250, noverlap=125, detrend="constant",
+                                  scaling="density", axis=-1)
+    assert np.array_equal(freqs, ref_freqs) and np.array_equal(psd, ref)
+    whole = stats.trial_band_powers(es, stats.BOTH_BAND)
+    singles = [stats.trial_band_powers(
+        eegio.EpochSet(data=data[i:i + 1], labels=es.labels[i:i + 1], fs=es.fs,
+                       channel_names=es.channel_names), stats.BOTH_BAND)
+        for i in range(3)]
+    assert np.array_equal(whole, np.concatenate(singles))
 
 
 class TestBandPower:
@@ -212,41 +241,39 @@ class TestContrastTopography:
         data = np.tile(RngStream(14).normal((1, 4, 300)), (8, 1, 1))
         es = eegio.EpochSet(data=data, labels=np.array([0, 0, 0, 0, 3, 3, 3, 3]),
                             fs=250.0, channel_names=("a", "b", "c", "d"))
-        report = stats.contrast_topography(es, 0, 3, stats.ALPHA_BAND, win=250)
+        powers = stats.trial_band_powers(es, stats.ALPHA_BAND, win=250)
+        report = stats.contrast_topography(es, powers, 0, 3, stats.ALPHA_BAND)
         assert not report.mask.any()
         assert np.all(np.isnan(report.t))
 
     def test_sign_convention_antisymmetry(self, small_preprocessed):
-        a = stats.contrast_topography(small_preprocessed, "split", "hovering",
-                                      stats.ALPHA_BAND)
-        b = stats.contrast_topography(small_preprocessed, "hovering", "split",
-                                      stats.ALPHA_BAND)
+        a = _contrast(small_preprocessed, "split", "hovering", stats.ALPHA_BAND)
+        b = _contrast(small_preprocessed, "hovering", "split", stats.ALPHA_BAND)
         finite = np.isfinite(a.t)
         assert np.allclose(a.t[finite], -b.t[finite], atol=1e-9)
 
     def test_recovers_planted_channels(self, small_preprocessed):
-        report = stats.contrast_topography(
+        report = _contrast(
             small_preprocessed, ("split", "spread_out", "fall_in"), "hovering",
             stats.ALPHA_BAND)
         assert {"O1", "Oz", "O2"} <= set(report.significant_channels())
-        beta = stats.contrast_topography(
+        beta = _contrast(
             small_preprocessed, ("split", "spread_out"), "fall_in",
             stats.BETA_BAND)
         assert {"Fp1", "Fp2"} <= set(beta.significant_channels())
 
     def test_overlapping_class_sets_rejected(self, small_preprocessed):
         with pytest.raises(ValueError, match="overlap"):
-            stats.contrast_topography(small_preprocessed, ("split", "fall_in"),
-                                      "fall_in", stats.ALPHA_BAND)
+            _contrast(small_preprocessed, ("split", "fall_in"), "fall_in",
+                      stats.ALPHA_BAND)
 
     def test_unknown_class_name(self, small_preprocessed):
         with pytest.raises(ValueError, match="unknown class"):
-            stats.contrast_topography(small_preprocessed, "flying", "hovering",
-                                      stats.ALPHA_BAND)
+            _contrast(small_preprocessed, "flying", "hovering", stats.ALPHA_BAND)
 
     def test_report_text_carries_replicate_note(self, small_preprocessed):
-        report = stats.contrast_topography(small_preprocessed, "split",
-                                           "hovering", stats.ALPHA_BAND)
+        report = _contrast(small_preprocessed, "split", "hovering",
+                           stats.ALPHA_BAND)
         text = report.text()
         assert stats.REPLICATE_NOTE in text
         assert "split vs hovering" in text
@@ -254,7 +281,7 @@ class TestContrastTopography:
 
 class TestExportTopomap:
     def _report(self, small_preprocessed):
-        return stats.contrast_topography(
+        return _contrast(
             small_preprocessed, ("split", "spread_out", "fall_in"), "hovering",
             stats.ALPHA_BAND)
 
@@ -304,7 +331,8 @@ class TestExportTopomap:
 
 
 def test_class_channel_anova_flags_class_effect(small_preprocessed):
-    res = stats.class_channel_anova(small_preprocessed, stats.ALPHA_BAND)
+    powers = stats.trial_band_powers(small_preprocessed, stats.ALPHA_BAND)
+    res = stats.class_channel_anova(small_preprocessed, powers)
     assert res.p["a"] < 0.05
     assert res.p["b"] < 0.05
 
@@ -321,7 +349,8 @@ def test_false_positive_control_on_null_data():
             n_trials_per_class=15, fs=125.0, epoch_seconds=1.0,
             noise_amplitude_uv=8.0, line_amplitude_uv=0.0, seed=seed)
         es = synthgen.generate(config)
-        report = stats.contrast_topography(es, 0, 3, stats.ALPHA_BAND, win=125)
+        powers = stats.trial_band_powers(es, stats.ALPHA_BAND, win=125)
+        report = stats.contrast_topography(es, powers, 0, 3, stats.ALPHA_BAND)
         hits += int(report.mask.sum())
     expected = runs * 64 * (0.01 / 64)
     assert hits <= expected + 3 * np.sqrt(expected)
