@@ -6,7 +6,9 @@ Convolutions are valid (no padding) cross-correlations. The time axis of EEG
 tensors is long (~1000 samples), so convolution runs as an FFT correlation
 along the last axis combined with an explicit window contraction over the
 small depth/height axes; padding the FFT to at least the input length keeps
-the circular result exact for every valid lag.
+the circular result exact for every valid lag. A large convolution runs in
+batch chunks fixed by its shapes, two at a time on a thread pool, so its
+bits do not depend on the number of threads.
 
 Every layer, here and ``attention.ChannelAttention``, has one protocol:
 ``name``, ``params``, ``grads``, ``forward(x, train=False, stream=None)``,
@@ -19,12 +21,69 @@ differences.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy import fft as sfft
 
-# Upper bound on the materialized FFT-window workspace per chunk.
+# Upper bound on the workspace of all batch chunks of one convolution that
+# are in flight at once. The whole-batch spectra of the input and, in the
+# backward pass, of the output gradient, made before the chunks run, are
+# outside it.
 _CHUNK_BYTES = 192 * 1024 * 1024
+# A convolution whose batch needs less workspace than this runs as one
+# chunk on the calling thread; every reduced-model call at batch 40 does.
+_PARALLEL_BYTES = 8 * 1024 * 1024
+# Chunks of a larger call, and the most that run at once. It is fixed, so
+# chunk boundaries, and with them every output bit, depend on the shapes
+# alone, never on the number of CPUs or threads.
+_LANES = 2
+
+_serial = False      # set in fold worker processes, which run one per CPU
+_pool = None         # (pid, ThreadPoolExecutor) of the process that made it
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The thread pool of this process, made again after a fork, whose
+    child inherits the parent's pool object but none of its threads."""
+    global _pool
+    if _pool is None or _pool[0] != os.getpid():
+        _pool = (os.getpid(), ThreadPoolExecutor(max_workers=_LANES,
+                                                 thread_name_prefix="ads3d-conv"))
+    return _pool[1]
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _lanes(chunks) -> int:
+    """Chunks that run at once: at most _LANES and the usable CPUs; 1 in a
+    fold worker."""
+    return 1 if _serial else min(_LANES, len(chunks), _cpus())
+
+
+def _run_chunks(fn, chunks):
+    """[fn(lo, hi) for each chunk] in chunk order, on _lanes(chunks) threads.
+
+    Lane j runs chunks j, j + lanes, ... one after another, so no more
+    chunk workspaces than lanes exist at once."""
+    lanes = _lanes(chunks)
+    if lanes == 1:
+        return [fn(lo, hi) for lo, hi in chunks]
+
+    def lane(j):
+        return [fn(*chunks[i]) for i in range(j, len(chunks), lanes)]
+
+    results = [None] * len(chunks)
+    for j, done in enumerate(_executor().map(lane, range(lanes))):
+        results[j::lanes] = done
+    return results
 
 
 def _out_len(n: int, k: int, s: int) -> int:
@@ -40,13 +99,29 @@ def _window_dh(a: np.ndarray, kd: int, kh: int) -> np.ndarray:
     return as_strided(a, shape=shape, strides=strides)
 
 
-def _complex_dtype(x: np.ndarray):
-    return np.complex64 if x.dtype == np.float32 else np.complex128
+def _complex_dtype(dtype):
+    return np.complex64 if dtype == np.float32 else np.complex128
 
 
-def conv3d_valid(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
-                 stride: tuple[int, int, int] = (1, 1, 1)) -> np.ndarray:
-    """Valid cross-correlation of [B,Fi,D,H,W] with [Fo,Fi,kD,kH,kW] + bias."""
+def _conv_plan(x_shape, w_shape, n: int):
+    """Batch chunks of one convolution as (lo, hi) pairs, from the shapes
+    alone: one chunk below _PARALLEL_BYTES, else a multiple of _LANES
+    chunks, within one item of each other in size and each at most
+    _CHUNK_BYTES / _LANES by a bound on the larger per-item workspace of
+    the two passes (the forward's window copy, transforms and output
+    spectrum; the backward's transposed spectra)."""
+    b_, fi, d, h, _ = x_shape
+    fo, _, kd, kh, _ = w_shape
+    dp, hp = d - kd + 1, h - kh + 1
+    total = b_ * 16 * (n // 2 + 1) * (fi * dp * kd * hp * kh + 3 * fi * d * h
+                                      + 2 * fo * dp * hp)
+    parts = 1 if total < _PARALLEL_BYTES else min(b_, _LANES * -(-total // _CHUNK_BYTES))
+    edges = [b_ * j // parts for j in range(parts + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _conv_forward(x, weight, bias, stride):
+    """conv3d_valid and the input spectrum, which the backward pass reuses."""
     x = np.asarray(x)
     b_, fi, d, h, w = x.shape
     fo, fi_w, kd, kh, kw = weight.shape
@@ -57,23 +132,51 @@ def conv3d_valid(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
     sd, sh, sw = stride
     n = sfft.next_fast_len(w, real=True)
     kf = np.conj(sfft.rfft(weight, n=n, axis=-1))
+    chunks = _conv_plan(x.shape, weight.shape, n)
+    # pocketfft transforms every lane alone, so its worker count leaves the
+    # bits unchanged
+    xf = sfft.rfft(x, n=n, axis=-1, workers=_lanes(chunks))
     wp = w - kw + 1
     out = np.empty((b_, fo, _out_len(d, kd, 1), _out_len(h, kh, 1), wp), dtype=x.dtype)
-    for lo, hi in _chunks(b_, fi * (d - kd + 1) * kd * (h - kh + 1) * kh * (n // 2 + 1) * 16):
-        xf = sfft.rfft(x[lo:hi], n=n, axis=-1)
-        xw = _window_dh(xf, kd, kh)
-        yf = np.einsum("bidphqf,oipqf->bodhf", xw, kf, optimize=True)
+
+    def run(lo, hi):
+        yf = np.einsum("bidphqf,oipqf->bodhf", _window_dh(xf[lo:hi], kd, kh), kf,
+                       optimize=True)
         out[lo:hi] = sfft.irfft(yf, n=n, axis=-1)[..., :wp]
+
+    _run_chunks(run, chunks)
     out += bias.reshape(1, fo, 1, 1, 1)
     if stride != (1, 1, 1):
         out = np.ascontiguousarray(out[:, :, ::sd, ::sh, ::sw])
-    return out
+    return out, xf
+
+
+def conv3d_valid(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+                 stride: tuple[int, int, int] = (1, 1, 1)) -> np.ndarray:
+    """Valid cross-correlation of [B,Fi,D,H,W] with [Fo,Fi,kD,kH,kW] + bias."""
+    return _conv_forward(x, weight, bias, stride)[0]
 
 
 def conv3d_backward(x: np.ndarray, weight: np.ndarray, gy: np.ndarray,
                     stride: tuple[int, int, int] = (1, 1, 1)):
     """Gradients (gx, gw, gb) of conv3d_valid."""
-    b_, fi, d, h, w = x.shape
+    x = np.asarray(x)
+    n = sfft.next_fast_len(x.shape[-1], real=True)
+    chunks = _conv_plan(x.shape, weight.shape, n)
+    xf = sfft.rfft(x, n=n, axis=-1, workers=_lanes(chunks))
+    return _conv_backward(x.shape, x.dtype, xf, weight, gy, stride)
+
+
+def _conv_backward(x_shape, dtype, xf, weight, gy, stride):
+    """Gradients of a convolution from its input spectrum xf.
+
+    The products run per frequency on spectra laid out [F, D, H, B, C],
+    one batched GEMM per kernel offset (p, q) and gradient: the output
+    gradient times the kernel, added into the input gradient shifted by
+    (p, q), and the output gradient times a view of the input spectrum
+    shifted by (p, q), whose (H', B) axes merge into one contraction axis.
+    Nothing is copied per window."""
+    b_, fi, d, h, w = x_shape
     fo, _, kd, kh, kw = weight.shape
     sd, sh, sw = stride
     dp, hp, wp = d - kd + 1, h - kh + 1, w - kw + 1
@@ -81,32 +184,42 @@ def conv3d_backward(x: np.ndarray, weight: np.ndarray, gy: np.ndarray,
         full = np.zeros((b_, fo, dp, hp, wp), dtype=gy.dtype)
         full[:, :, ::sd, ::sh, ::sw] = gy
         gy = full
-    cdtype = _complex_dtype(x)
+    cdtype = _complex_dtype(dtype)
     n = sfft.next_fast_len(w, real=True)
+    nf = n // 2 + 1
+    chunks = _conv_plan(x_shape, weight.shape, n)
     kf = sfft.rfft(weight, n=n, axis=-1)
-    gwf = np.zeros(weight.shape[:-1] + (n // 2 + 1,), dtype=cdtype)
-    gx = np.empty_like(x)
-    for lo, hi in _chunks(b_, fi * dp * kd * hp * kh * (n // 2 + 1) * 16):
-        xf = sfft.rfft(x[lo:hi], n=n, axis=-1)
-        gyf = sfft.rfft(gy[lo:hi], n=n, axis=-1)
-        xw = _window_dh(xf, kd, kh)
-        gwf += np.einsum("bidphqf,bodhf->oipqf", xw, np.conj(gyf), optimize=True)
-        gxf = np.zeros(xf.shape, dtype=cdtype)
+    kmat = np.ascontiguousarray(kf.transpose(2, 3, 4, 0, 1))    # [kD, kH, F, Fo, Fi]
+    gyf = sfft.rfft(gy, n=n, axis=-1, workers=_lanes(chunks))
+    gx = np.empty(x_shape, dtype=dtype)
+
+    def run(lo, hi):
+        bc = hi - lo
+        xc = np.empty((nf, d, h, bc, fi), dtype=cdtype)
+        np.conjugate(xf[lo:hi].transpose(4, 2, 3, 0, 1), out=xc)
+        g = np.ascontiguousarray(gyf[lo:hi].transpose(4, 2, 3, 0, 1))
+        rows = g.reshape(nf, dp * hp * bc, fo)
+        cols = g.reshape(nf, dp, hp * bc, fo).swapaxes(-1, -2)
+        gxf = np.zeros((nf, d, h, bc, fi), dtype=cdtype)
+        gwc = np.empty((nf, fo, fi, kd, kh), dtype=cdtype)
         for p in range(kd):
             for q in range(kh):
-                gxf[:, :, p:p + dp, q:q + hp, :] += np.einsum(
-                    "bodhf,oif->bidhf", gyf, kf[:, :, p, q, :], optimize=True
-                )
-        gx[lo:hi] = sfft.irfft(gxf, n=n, axis=-1)[..., :w]
-    gw = sfft.irfft(gwf, n=n, axis=-1)[..., :kw].astype(weight.dtype, copy=False)
+                gxf[:, p:p + dp, q:q + hp] += np.matmul(rows, kmat[p, q]).reshape(
+                    nf, dp, hp, bc, fi)
+                window = xc[:, p:p + dp, q:q + hp].reshape(nf, dp, hp * bc, fi)
+                gwc[..., p, q] = np.matmul(cols, window).sum(axis=1)
+        gx[lo:hi] = sfft.irfft(gxf.transpose(3, 4, 1, 2, 0), n=n, axis=-1)[..., :w]
+        return gwc
+
+    parts = _run_chunks(run, chunks)
+    gwc = parts[0]
+    for part in parts[1:]:
+        gwc += part
+    # gwc is the conjugate of the weight-gradient spectrum
+    gw = sfft.irfft(np.conj(gwc), n=n, axis=0)[:kw].transpose(1, 2, 3, 4, 0)
+    gw = np.ascontiguousarray(gw, dtype=weight.dtype)
     gb = gy.sum(axis=(0, 2, 3, 4))
     return gx, gw, gb
-
-
-def _chunks(total: int, bytes_per_item: int):
-    step = max(1, int(_CHUNK_BYTES // max(1, bytes_per_item)))
-    for lo in range(0, total, step):
-        yield lo, min(total, lo + step)
 
 
 def _pool_view(x: np.ndarray, kernel, stride) -> np.ndarray:
@@ -120,6 +233,19 @@ def _pool_view(x: np.ndarray, kernel, stride) -> np.ndarray:
     st = x.strides
     strides = (st[0], st[1], st[2] * sd, st[3] * sh, st[4] * sw, st[2], st[3], st[4])
     return as_strided(x, shape=shape, strides=strides)
+
+
+def _time_tiles(kernel, stride) -> bool:
+    """True when the windows tile the time axis: kernel equal to stride
+    along time and 1 along depth and height, as in every pool of AdsNet."""
+    return kernel[:2] == (1, 1) and stride[:2] == (1, 1) and kernel[2] == stride[2]
+
+
+def _tiles(x: np.ndarray, k: int) -> np.ndarray:
+    """[B, F, D, H, W] as [B, F, D, H, W // k, k] time windows; a view of a
+    contiguous x, so writes to it land in x."""
+    *lead, w = x.shape
+    return x[..., :w // k * k].reshape(*lead, w // k, k)
 
 
 def _pool_index(in_shape, kernel, stride) -> np.ndarray:
@@ -147,15 +273,18 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def log_softmax(x: np.ndarray) -> np.ndarray:
+    shifted = x - np.max(x, axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def cross_entropy(logits: np.ndarray, labels: np.ndarray):
     """Mean negative log-likelihood and its gradient w.r.t. logits."""
     labels = np.asarray(labels)
     if np.any(labels < 0) or np.any(labels >= logits.shape[-1]):
         raise ValueError("label out of range")
     b_ = logits.shape[0]
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=-1))
-    loss = float(np.mean(logz - shifted[np.arange(b_), labels]))
+    loss = float(np.mean(-log_softmax(logits)[np.arange(b_), labels]))
     grad = softmax(logits)
     grad[np.arange(b_), labels] -= 1.0
     return loss, grad / b_
@@ -167,18 +296,20 @@ class Conv3d:
         self.stride = tuple(stride)
         self.name = name
         self.grads = {}
-        self._x = None
+        self._cache = None
 
     def forward(self, x, train=False, stream=None):
         try:
-            y = conv3d_valid(x, self.params["w"], self.params["b"], self.stride)
+            y, xf = _conv_forward(x, self.params["w"], self.params["b"], self.stride)
         except ValueError as err:
             raise ValueError(f"{self.name}: {err}") from None
-        self._x = x if train else None
+        # The input spectrum is about the size of the input and spares the
+        # backward pass its transform.
+        self._cache = (x.shape, x.dtype, xf) if train else None
         return y
 
     def backward(self, gy):
-        gx, gw, gb = conv3d_backward(self._x, self.params["w"], gy, self.stride)
+        gx, gw, gb = _conv_backward(*self._cache, self.params["w"], gy, self.stride)
         self.grads = {"w": gw, "b": gb}
         return gx
 
@@ -263,6 +394,11 @@ class AvgPool3d:
 
     def backward(self, gy):
         b_, f, d, h, w = self._shape
+        if _time_tiles(self.kernel, self.stride):
+            k = self.kernel[2]
+            gx = np.zeros(self._shape, dtype=gy.dtype)
+            _tiles(gx, k)[...] = (gy / k)[..., None]
+            return gx
         idx = _pool_index((d, h, w), self.kernel, self.stride)
         k = idx.shape[1]
         gx = np.zeros((b_, f, d * h * w), dtype=gy.dtype)
@@ -285,7 +421,6 @@ class MaxPool3d:
             view = _pool_view(np.asarray(x), self.kernel, self.stride)
         except ValueError as err:
             raise ValueError(f"{self.name}: {err}") from None
-        b_, f = x.shape[:2]
         flat = view.reshape(*view.shape[:5], -1)
         arg = flat.argmax(axis=-1)
         y = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
@@ -294,6 +429,11 @@ class MaxPool3d:
 
     def backward(self, gy):
         xshape, arg = self._cache
+        if _time_tiles(self.kernel, self.stride):
+            gx = np.zeros(xshape, dtype=gy.dtype)
+            np.put_along_axis(_tiles(gx, self.kernel[2]), arg[..., None], gy[..., None],
+                              axis=-1)
+            return gx
         b_, f, d, h, w = xshape
         idx = _pool_index((d, h, w), self.kernel, self.stride)   # [P, K]
         p = idx.shape[0]

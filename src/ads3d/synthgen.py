@@ -89,8 +89,11 @@ def default_paper_template(effect_scale: float = 1.0, n_trials_per_class: int = 
                       center_hz=20.0, bandwidth_hz=2.0, amplitude_uv=amp),
         # Split-only marker in a disjoint alpha sub-band so its power adds to
         # the base occipital burst instead of interfering with it; stronger
-        # than the base burst so the split/spread_out margin stays wide, and
-        # kept well below 13 Hz so its leakage cannot reach the beta band.
+        # than the base burst so the split/spread_out margin stays wide. Its
+        # centre is below 13 Hz, but its Welch leakage does reach the beta
+        # band: at effect_scale=2.5, O2 is flagged in a beta contrast of
+        # split+spread_out against fall_in (t = 5.89), though only Fp1/Fp2
+        # carry a beta effect.
         PlantedEffect(classes=("split",),
                       channels=("O2",),
                       center_hz=11.5, bandwidth_hz=1.0, amplitude_uv=1.5 * amp),

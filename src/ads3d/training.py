@@ -16,10 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dsp
+from . import dsp, nncore
 from .adsnet import AdsNet, AdsNetConfig, REDUCED_CONFIG
 from .eegio import EpochSet
 from .montage import MontageMap, reduced_montage_4x4
+from .nncore import log_softmax
 from .rng import RngStream
 
 
@@ -150,10 +151,8 @@ def evaluate(model: AdsNet, data: np.ndarray, labels: np.ndarray,
     for lo in range(0, indices.size, batch_size):
         batch_idx = indices[lo:lo + batch_size]
         logits = model.forward(data[batch_idx], train=False)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         y = labels[batch_idx]
-        total_nll -= logp[np.arange(len(batch_idx)), y].sum()
+        total_nll -= log_softmax(logits)[np.arange(len(batch_idx)), y].sum()
         pred = np.argmax(logits, axis=1)
         np.add.at(confusion, (y, pred), 1)
     loss = total_nll / indices.size
@@ -237,6 +236,8 @@ def cross_validate(config: AdsNetConfig, data: np.ndarray, labels: np.ndarray,
 
 
 def _fold_worker(args):
+    # One worker process per CPU already: its convolutions run serially.
+    nncore._serial = True
     return train_one_fold(*args)
 
 

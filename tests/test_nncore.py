@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +30,24 @@ def conv3d_loop(x, w, b, stride=(1, 1, 1)):
     return out
 
 
+def conv3d_backward_loop(x, w, gy, stride=(1, 1, 1)):
+    """Direct-summation oracle for the gradients of conv3d_loop."""
+    Fo, _, kd, kh, kw = w.shape
+    sd, sh, sw = stride
+    gx, gw = np.zeros_like(x), np.zeros_like(w)
+    for bb in range(gy.shape[0]):
+        for o in range(Fo):
+            for d in range(gy.shape[2]):
+                for h in range(gy.shape[3]):
+                    for t in range(gy.shape[4]):
+                        at = (slice(d * sd, d * sd + kd), slice(h * sh, h * sh + kh),
+                              slice(t * sw, t * sw + kw))
+                        g = gy[bb, o, d, h, t]
+                        gx[(bb, slice(None)) + at] += g * w[o]
+                        gw[o] += g * x[(bb, slice(None)) + at]
+    return gx, gw, gy.sum(axis=(0, 2, 3, 4))
+
+
 class TestConv3d:
     def test_table_shapes(self):
         x = np.zeros((2, 1, 8, 8, 1001))
@@ -48,6 +71,28 @@ class TestConv3d:
         for stride in [(1, 1, 1), (1, 1, 2), (2, 1, 3)]:
             got = nn.conv3d_valid(x, w, b, stride)
             assert np.max(np.abs(got - conv3d_loop(x, w, b, stride))) < 1e-10
+
+    def test_backward_matches_loop_oracle(self):
+        s = RngStream(1)
+        x = s.normal((2, 3, 5, 4, 17))
+        w = s.normal((4, 3, 2, 3, 6))
+        for stride in [(1, 1, 1), (1, 1, 2), (2, 1, 3)]:
+            gy = s.normal(nn.conv3d_valid(x, w, np.zeros(4), stride).shape)
+            got = nn.conv3d_backward(x, w, gy, stride)
+            for g, want in zip(got, conv3d_backward_loop(x, w, gy, stride)):
+                assert g.shape == want.shape
+                assert np.max(np.abs(g - want)) < 1e-10
+
+    def test_layer_backward_reuses_forward_spectra(self):
+        s = RngStream(25)
+        x = s.normal((3, 2, 4, 3, 20))
+        layer = nn.Conv3d(s.normal((2, 2, 2, 2, 5)), s.normal(2))
+        gy = s.normal(layer.forward(x, train=True).shape)
+        gx = layer.backward(gy)
+        want = nn.conv3d_backward(x, layer.params["w"], gy)
+        assert np.array_equal(gx, want[0])
+        assert np.array_equal(layer.grads["w"], want[1])
+        assert np.array_equal(layer.grads["b"], want[2])
 
     def test_linearity_in_input(self):
         s = RngStream(2)
@@ -88,6 +133,85 @@ class TestConv3d:
             return loss, [gx, gw, gb]
 
         assert nn.grad_check(fn, [x, w, b], eps=1e-5, sample=120) < 1e-6
+
+
+class TestThreads:
+    """Large convolutions run in fixed batch chunks on a thread pool; the
+    chunks depend on the shapes only, so the bits never depend on it."""
+
+    def _large(self):
+        s = RngStream(26)
+        x = s.normal((8, 4, 5, 5, 300))
+        w = s.normal((6, 4, 3, 3, 10))
+        n = 300
+        assert len(nn._conv_plan(x.shape, w.shape, n)) > 1   # above the serial size
+        return x, w, s.normal(6), s.normal((8, 6, 3, 3, 291))
+
+    def test_conv_bits_do_not_depend_on_thread_count(self, monkeypatch):
+        x, w, b, gy = self._large()
+        runs = []
+        for n in (1, 2):
+            monkeypatch.setattr(nn, "_cpus", lambda: n)
+            runs.append((nn.conv3d_valid(x, w, b), *nn.conv3d_backward(x, w, gy)))
+        for one, two in zip(*runs):
+            assert np.array_equal(one, two)
+        assert np.max(np.abs(runs[0][0][:1] - conv3d_loop(x[:1], w, b))) < 1e-10
+
+    def test_full_model_bits_do_not_depend_on_thread_count(self, monkeypatch):
+        from ads3d import adsnet
+        from ads3d.montage import default_montage
+        model = adsnet.AdsNet(adsnet.FULL_CONFIG, default_montage(), seed=3)
+        x = RngStream(27).normal((4, 64, 1001))
+        labels = np.array([0, 1, 2, 3])
+        runs = []
+        for n in (1, 2):
+            monkeypatch.setattr(nn, "_cpus", lambda: n)
+            runs.append(model.loss_and_grads(x, labels, stream=RngStream(28)))
+        (loss1, grads1), (loss2, grads2) = runs
+        assert loss1 == loss2
+        assert list(grads1) == list(grads2)
+        for name in grads1:
+            assert np.array_equal(grads1[name], grads2[name]), name
+
+    def test_pool_survives_fork(self):
+        # A forked child inherits the pool object but none of its threads:
+        # a threaded convolution there must not wait for them forever.
+        script = textwrap.dedent("""
+            import multiprocessing as mp
+            import numpy as np
+            from ads3d import adsnet, nncore, training
+            from ads3d.montage import reduced_montage_4x4
+            from ads3d.rng import RngStream
+
+            def conv(_):
+                return nncore.conv3d_valid(x, w, np.zeros(6))
+
+            nncore._cpus = lambda: 2
+            s = RngStream(26)
+            x = s.normal((8, 4, 5, 5, 300))
+            w = s.normal((6, 4, 3, 3, 10))
+            here = conv(0)
+            with mp.get_context("fork").Pool(1) as pool:
+                there = pool.map(conv, [0])[0]
+            assert np.array_equal(here, there)
+
+            data = RngStream(29).normal((24, 16, 64))
+            labels = np.arange(24) % 4
+            kwargs = dict(k=2, hyper=training.Hyper(epochs=1, batch_size=8), seed=7)
+            runs = [training.cross_validate(adsnet.REDUCED_CONFIG, data, labels,
+                                            reduced_montage_4x4(), jobs=jobs, **kwargs)
+                    for jobs in (2, 1)]
+            assert [r.eval_loss for r in runs[0].reports] == \
+                [r.eval_loss for r in runs[1].reports]
+            print("ok")
+        """)
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        done = subprocess.run([sys.executable, "-c", script], env=env, timeout=120,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "ok"
 
 
 class TestPooling:
@@ -139,6 +263,25 @@ class TestPooling:
                 return loss, [layer.backward(wt.copy())]
 
             assert nn.grad_check(fn, [x], eps=1e-5, sample=150) < 1e-6
+
+
+    @pytest.mark.parametrize("layer_cls", [nn.AvgPool3d, nn.MaxPool3d])
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_time_tile_fast_path_matches_general(self, monkeypatch, layer_cls, k):
+        # Small integers make argmax ties common; both paths take the first.
+        x = RngStream(30).integers(0, 3, (3, 2, 2, 3, 11)).astype(np.float64)
+        gy = RngStream(31).normal((3, 2, 2, 3, 11 // k))
+        runs = []
+        for general in (False, True):
+            if general:
+                monkeypatch.setattr(nn, "_time_tiles", lambda kernel, stride: False)
+            layer = layer_cls((1, 1, k))
+            y = layer.forward(x, train=True)
+            runs.append((y, layer.backward(gy)))
+        (y_fast, g_fast), (y_gen, g_gen) = runs
+        assert np.array_equal(y_fast, y_gen)
+        assert np.array_equal(g_fast, g_gen)
+        assert np.count_nonzero(g_fast[..., 11 // k * k:]) == 0
 
 
 class TestBatchNorm:
@@ -310,6 +453,14 @@ class TestCrossEntropy:
         want = np.log(np.e + 3.0) - 1.0
         assert abs(loss - want) < 1e-12
         assert abs(loss - 0.74366) < 1e-4
+
+    def test_loss_is_mean_negative_log_softmax(self):
+        logits = RngStream(32).normal((6, 4)) * 5.0
+        labels = np.array([0, 1, 2, 3, 3, 1])
+        logp = nn.log_softmax(logits)
+        assert np.allclose(np.exp(logp), nn.softmax(logits), atol=1e-15)
+        loss, _ = nn.cross_entropy(logits, labels)
+        assert loss == float(np.mean(-logp[np.arange(6), labels]))
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError, match="label"):
