@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .nncore import softmax
+
 
 def project_qkv(x: np.ndarray, params: dict):
     """Per-channel linear maps over time: (x wq, x wk, x wv)."""
@@ -23,13 +25,6 @@ def project_qkv(x: np.ndarray, params: dict):
             f"input time axis {x.shape[-1]} != projection rows {params['wq'].shape[0]}"
         )
     return x @ params["wq"], x @ params["wk"], x @ params["wv"]
-
-
-def row_softmax(scores: np.ndarray) -> np.ndarray:
-    """Softmax along the last axis with per-row max subtraction."""
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def scaled_dot_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -43,7 +38,7 @@ def scaled_dot_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndar
         if not np.all(np.isfinite(a)):
             raise ValueError(f"non-finite values in {name}")
     scores = q @ np.swapaxes(k, -1, -2) / np.sqrt(q.shape[-1])
-    return row_softmax(scores) @ v
+    return softmax(scores) @ v
 
 
 class ChannelAttention:
@@ -64,7 +59,7 @@ class ChannelAttention:
     def forward(self, x, train=False, stream=None):
         q, k, v = project_qkv(x, self.params)
         scale = 1.0 / np.sqrt(q.shape[-1])
-        weights = row_softmax(q @ np.swapaxes(k, -1, -2) * scale)
+        weights = softmax(q @ np.swapaxes(k, -1, -2) * scale)
         self._cache = (x, q, k, v, weights, scale) if train else None
         return weights @ v
 

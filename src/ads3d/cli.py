@@ -102,13 +102,6 @@ _SCHEMAS = {
         "welch_window": (int, 0, "Welch segment length (0: one second)"),
     },
 }
-_REQUIRED = {
-    "synth": ("out",),
-    "preprocess": ("in", "out"),
-    "train": ("in", "out_dir"),
-    "eval": ("in", "checkpoint", "out"),
-    "stats": ("in", "out_prefix", "class_a", "class_b"),
-}
 
 
 def _parse_config_file(path) -> dict:
@@ -152,8 +145,7 @@ def resolve_config(command: str, config_path, overrides) -> dict:
             raise CliError("config", f"bad value for {key!r}: {err}") from None
     for key, (_, default, _) in schema.items():
         resolved.setdefault(key, default)
-    for key in _REQUIRED[command]:
-        if resolved.get(key) in (None, ""):
+        if default is None and resolved[key] in (None, ""):
             raise CliError("config", f"{command} requires key {key!r}")
     return resolved
 

@@ -27,7 +27,6 @@ class BiquadCascade:
     """Second-order sections, rows (b0, b1, b2, a1, a2) with a0 == 1."""
 
     sections: np.ndarray
-    description: dict
 
     def __post_init__(self):
         sec = np.asarray(self.sections, dtype=np.float64)
@@ -58,11 +57,7 @@ def design_butter_bandpass(low: float = 4.0, high: float = 40.0,
     if not (0.0 < low < high < fs / 2.0):
         raise ValueError(f"invalid band edges ({low}, {high}) for fs={fs}")
     sos = signal.butter(order, [low, high], btype="bandpass", fs=fs, output="sos")
-    return BiquadCascade(
-        sections=np.column_stack([sos[:, :3], sos[:, 4:]]),
-        description={"type": "butter_bandpass", "order": order,
-                     "low_hz": low, "high_hz": high, "fs": fs},
-    )
+    return BiquadCascade(np.column_stack([sos[:, :3], sos[:, 4:]]))
 
 
 def design_notch(freq: float = 60.0, fs: float = 500.0, q: float = 30.0) -> BiquadCascade:
@@ -72,10 +67,7 @@ def design_notch(freq: float = 60.0, fs: float = 500.0, q: float = 30.0) -> Biqu
     b, a = signal.iirnotch(freq, q, fs=fs)
     b = b / a[0]
     a = a / a[0]
-    return BiquadCascade(
-        sections=np.array([[b[0], b[1], b[2], a[1], a[2]]]),
-        description={"type": "notch", "freq_hz": freq, "q": q, "fs": fs},
-    )
+    return BiquadCascade(np.array([[b[0], b[1], b[2], a[1], a[2]]]))
 
 
 def magnitude(cascade: BiquadCascade, freqs, fs: float) -> np.ndarray:

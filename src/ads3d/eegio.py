@@ -19,6 +19,7 @@ computation; round-trips of float32 payloads are bit-exact.
 
 from __future__ import annotations
 
+import codecs
 import os
 import struct
 import tempfile
@@ -143,6 +144,10 @@ def write_epochset(epochs: EpochSet, path) -> None:
                  np.ascontiguousarray(epochs.data, dtype="<f4"))
 
 
+# Bytes of a text field read and decoded at a time.
+_TEXT_PIECE = 4096
+
+
 class _Reader:
     """Reads a container front to back. Every request is checked against
     the bytes left in the file before anything is allocated for it."""
@@ -164,10 +169,21 @@ class _Reader:
         return out
 
     def text(self, n: int, encoding: str) -> str:
+        """n bytes of text, decoded in pieces of _TEXT_PIECE bytes, so a
+        field that fails to decode never holds more than one piece."""
+        self._claim(n)
+        decoder = codecs.getincrementaldecoder(encoding)()
+        parts = []
         try:
-            return self.take(n).decode(encoding)
+            while n:
+                piece = self.fh.read(min(n, _TEXT_PIECE))
+                if not piece:
+                    raise FormatError("truncated payload")
+                n -= len(piece)
+                parts.append(decoder.decode(piece, final=not n))
         except UnicodeDecodeError as err:
             raise FormatError(f"undecodable text: {err}") from None
+        return "".join(parts)
 
     def array(self, count: int, dtype) -> np.ndarray:
         dtype = np.dtype(dtype)

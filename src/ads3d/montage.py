@@ -17,8 +17,6 @@ from importlib import resources
 
 import numpy as np
 
-from .eegio import atomic_write
-
 GRID_SIDE = 8
 
 # Acquisition-style channel order (front to back, left to right within a row).
@@ -69,14 +67,6 @@ class MontageMap:
     def channel_names(self) -> tuple[str, ...]:
         """Row-major cell order."""
         return tuple(n for row in self.grid for n in row)
-
-    def cell_of(self, name: str) -> tuple[int, int]:
-        key = name.lower()
-        for r, row in enumerate(self.grid):
-            for c, n in enumerate(row):
-                if n.lower() == key:
-                    return r, c
-        raise MontageError(f"channel {name!r} not in montage")
 
     def check_midline(self):
         """Warn about midline ('...z') channels off the main diagonal."""
@@ -148,14 +138,6 @@ def parse_montage(text: str, side: int = GRID_SIDE) -> MontageMap:
 def load_montage(path) -> MontageMap:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_montage(fh.read())
-
-
-def save_montage(montage: MontageMap, path) -> None:
-    lines = ["# row col name"]
-    for r, row in enumerate(montage.grid):
-        for c, name in enumerate(row):
-            lines.append(f"{r} {c} {name}")
-    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def default_montage() -> MontageMap:

@@ -222,44 +222,16 @@ def _conv_backward(x_shape, dtype, xf, weight, gy, stride):
     return gx, gw, gb
 
 
-def _pool_view(x: np.ndarray, kernel, stride) -> np.ndarray:
-    b_, f, d, h, w = x.shape
-    kd, kh, kw = kernel
-    sd, sh, sw = stride
-    if kd > d or kh > h or kw > w:
-        raise ValueError(f"pool kernel {kernel} larger than input {(d, h, w)}")
-    shape = (b_, f, _out_len(d, kd, sd), _out_len(h, kh, sh), _out_len(w, kw, sw),
-             kd, kh, kw)
-    st = x.strides
-    strides = (st[0], st[1], st[2] * sd, st[3] * sh, st[4] * sw, st[2], st[3], st[4])
-    return as_strided(x, shape=shape, strides=strides)
-
-
-def _time_tiles(kernel, stride) -> bool:
-    """True when the windows tile the time axis: kernel equal to stride
-    along time and 1 along depth and height, as in every pool of AdsNet."""
-    return kernel[:2] == (1, 1) and stride[:2] == (1, 1) and kernel[2] == stride[2]
-
-
-def _tiles(x: np.ndarray, k: int) -> np.ndarray:
-    """[B, F, D, H, W] as [B, F, D, H, W // k, k] time windows; a view of a
-    contiguous x, so writes to it land in x."""
-    *lead, w = x.shape
-    return x[..., :w // k * k].reshape(*lead, w // k, k)
-
-
-def _pool_index(in_shape, kernel, stride) -> np.ndarray:
-    """Flat input index of every window element, shape [P, K]."""
-    d, h, w = in_shape
-    ref = np.arange(d * h * w).reshape(1, 1, d, h, w)
-    view = _pool_view(ref, kernel, stride)[0, 0]
-    p = view.shape[0] * view.shape[1] * view.shape[2]
-    return view.reshape(p, -1)
-
-
-def avgpool3d(x, kernel=(1, 1, 4), stride=None):
-    stride = kernel if stride is None else stride
-    return _pool_view(np.asarray(x), kernel, stride).mean(axis=(-3, -2, -1))
+def _pool_slices(name, shape, kernel, stride):
+    """For each kernel offset, in C order, the basic slice of a [B, F, D,
+    H, W] input that holds the element at that offset of every window."""
+    dhw = shape[2:]
+    if any(k > n for k, n in zip(kernel, dhw)):
+        raise ValueError(f"{name}: pool kernel {kernel} larger than input {dhw}")
+    out = [_out_len(n, k, s) for n, k, s in zip(dhw, kernel, stride)]
+    return [(..., *(slice(o, o + s * (m - 1) + 1, s)
+                    for o, s, m in zip(offset, stride, out)))
+            for offset in np.ndindex(*kernel)]
 
 
 def elu(x: np.ndarray) -> np.ndarray:
@@ -382,32 +354,33 @@ class AvgPool3d:
         self.params = {}
         self.grads = {}
         self.name = name
-        self._shape = None
+        self._cache = None
 
     def forward(self, x, train=False, stream=None):
-        try:
-            y = avgpool3d(x, self.kernel, self.stride)
-        except ValueError as err:
-            raise ValueError(f"{self.name}: {err}") from None
-        self._shape = x.shape
+        slices = _pool_slices(self.name, x.shape, self.kernel, self.stride)
+        # From zero, in offset order: the sum numpy's mean of a window makes.
+        y = np.zeros(x[slices[0]].shape, x.dtype)
+        for sl in slices:
+            y += x[sl]
+        y /= len(slices)
+        self._cache = (x.shape, slices) if train else None
         return y
 
     def backward(self, gy):
-        b_, f, d, h, w = self._shape
-        if _time_tiles(self.kernel, self.stride):
-            k = self.kernel[2]
-            gx = np.zeros(self._shape, dtype=gy.dtype)
-            _tiles(gx, k)[...] = (gy / k)[..., None]
-            return gx
-        idx = _pool_index((d, h, w), self.kernel, self.stride)
-        k = idx.shape[1]
-        gx = np.zeros((b_, f, d * h * w), dtype=gy.dtype)
-        share = (gy.reshape(b_, f, -1) / k)[..., None]
-        np.add.at(gx, (slice(None), slice(None), idx), share)
-        return gx.reshape(self._shape)
+        xshape, slices = self._cache
+        gx = np.zeros(xshape, dtype=gy.dtype)
+        share = gy / len(slices)
+        # Last offset first: an element in several windows then sums their
+        # shares in window order.
+        for sl in reversed(slices):
+            gx[sl] += share
+        return gx
 
 
 class MaxPool3d:
+    """Max over each window. Of equal values the first offset in C order
+    wins, and a NaN in a window wins over every number."""
+
     def __init__(self, kernel, stride=None, name="maxpool"):
         self.kernel = tuple(kernel)
         self.stride = self.kernel if stride is None else tuple(stride)
@@ -417,31 +390,30 @@ class MaxPool3d:
         self._cache = None
 
     def forward(self, x, train=False, stream=None):
-        try:
-            view = _pool_view(np.asarray(x), self.kernel, self.stride)
-        except ValueError as err:
-            raise ValueError(f"{self.name}: {err}") from None
-        flat = view.reshape(*view.shape[:5], -1)
-        arg = flat.argmax(axis=-1)
-        y = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-        self._cache = (x.shape, arg) if train else None
+        slices = _pool_slices(self.name, x.shape, self.kernel, self.stride)
+        y = x[slices[0]].copy()
+        arg = np.zeros(y.shape, np.min_scalar_type(len(slices))) if train else None
+        for i, sl in enumerate(slices[1:], 1):
+            v = x[sl]
+            if train:
+                # v wins where it is larger or NaN, unless a NaN already won;
+                # a winner's offset is larger than any earlier one's.
+                win = ~(v <= y)
+                win &= y == y
+                np.maximum(arg, np.multiply(win, i, dtype=arg.dtype), out=arg)
+            # np.maximum returns its second operand of two equal values, so
+            # the earlier one is kept, -0.0 and 0.0 included.
+            np.maximum(v, y, out=y)
+        self._cache = (x.shape, slices, arg) if train else None
         return y
 
     def backward(self, gy):
-        xshape, arg = self._cache
-        if _time_tiles(self.kernel, self.stride):
-            gx = np.zeros(xshape, dtype=gy.dtype)
-            np.put_along_axis(_tiles(gx, self.kernel[2]), arg[..., None], gy[..., None],
-                              axis=-1)
-            return gx
-        b_, f, d, h, w = xshape
-        idx = _pool_index((d, h, w), self.kernel, self.stride)   # [P, K]
-        p = idx.shape[0]
-        pos = idx[np.arange(p), arg.reshape(b_, f, p)]           # [B, F, P]
-        gx = np.zeros((b_, f, d * h * w), dtype=gy.dtype)
-        bb, ff = np.ogrid[:b_, :f]
-        np.add.at(gx, (bb[..., None], ff[..., None], pos), gy.reshape(b_, f, p))
-        return gx.reshape(xshape)
+        xshape, slices, arg = self._cache
+        gx = np.zeros(xshape, dtype=gy.dtype)
+        # Last offset first, as in AvgPool3d.backward.
+        for i, sl in reversed(list(enumerate(slices))):
+            gx[sl] += np.where(arg == i, gy, 0.0)
+        return gx
 
 
 class Dropout:

@@ -11,7 +11,6 @@ Use a separate selection split if that leak matters for your use.
 from __future__ import annotations
 
 import copy
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,7 +113,6 @@ class TrainReport:
     best_eval_loss: float
     best_eval_acc: float
     best_state: dict
-    wall_time_s: float
 
     def log_text(self) -> str:
         """Line-oriented log: epoch, train_loss, eval_loss, eval_acc."""
@@ -163,7 +161,6 @@ def evaluate(model: AdsNet, data: np.ndarray, labels: np.ndarray,
 def train_one_fold(config: AdsNetConfig, data: np.ndarray, labels: np.ndarray,
                    plan: FoldPlan, fold: int, hyper: Hyper, seed: int,
                    montage: MontageMap) -> TrainReport:
-    start = time.time()
     test_idx = plan.folds[fold]
     train_idx = plan.train_indices(fold, len(labels))
     model = AdsNet(config, montage, seed=seed)
@@ -171,7 +168,7 @@ def train_one_fold(config: AdsNetConfig, data: np.ndarray, labels: np.ndarray,
     opt = OptimState.for_params(params)
     report = TrainReport(fold=fold, train_loss=[], eval_loss=[], eval_acc=[],
                          best_epoch=0, best_eval_loss=np.inf, best_eval_acc=0.0,
-                         best_state={}, wall_time_s=0.0)
+                         best_state={})
     for epoch in range(1, hyper.epochs + 1):
         order = RngStream(seed, 0x5F1E, fold, epoch).permutation(train_idx.size)
         shuffled = train_idx[order]
@@ -203,7 +200,6 @@ def train_one_fold(config: AdsNetConfig, data: np.ndarray, labels: np.ndarray,
         ev_loss, ev_acc, _ = evaluate(model, data, labels, test_idx)
         report.best_eval_loss, report.best_eval_acc = ev_loss, ev_acc
         report.best_state = copy.deepcopy(model.state_arrays())
-    report.wall_time_s = time.time() - start
     return report
 
 

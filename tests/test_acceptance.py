@@ -116,7 +116,7 @@ def test_criterion_2_per_layer_and_full_network_gradients():
 def test_criterion_3_attention_invariants():
     s = RngStream(5)
     scores = s.normal((32, 32)) * 3.0
-    weights = attention.row_softmax(scores)
+    weights = nncore.softmax(scores)
     assert np.max(np.abs(weights.sum(axis=-1) - 1.0)) < 1e-6
 
     x = s.normal((8, 16))

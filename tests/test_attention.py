@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ads3d import attention as att
-from ads3d.nncore import grad_check
+from ads3d.nncore import grad_check, softmax
 from ads3d.rng import RngStream
 
 
@@ -87,15 +87,15 @@ class TestScaledDotAttention:
     def test_rows_sum_to_one(self):
         s = RngStream(7)
         q, k = s.normal((2, 5, 3))
-        weights = att.row_softmax(q @ k.T / np.sqrt(3))
+        weights = softmax(q @ k.T / np.sqrt(3))
         assert np.allclose(weights.sum(axis=-1), 1.0, atol=1e-6)
         assert np.all(weights > 0)
 
     def test_softmax_shift_invariance(self):
         s = RngStream(8)
         scores = s.normal((6, 6))
-        assert np.allclose(att.row_softmax(scores),
-                           att.row_softmax(scores + 123.456), atol=1e-6)
+        assert np.allclose(softmax(scores),
+                           softmax(scores + 123.456), atol=1e-6)
 
     def test_nonfinite_rejected(self):
         q = np.full((2, 2), np.nan)

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ads3d import eegio
@@ -217,8 +217,10 @@ def test_reader_fuzz_raises_only_format_error(tmp_path_factory, make, reader):
     reader(work)
     _read_within_file_size(reader, work)
 
+    # In the checkpoint this flip turns the first name length from 10 into 32,778.
     @settings(max_examples=150, deadline=None)
     @given(mutation=_MUTATION)
+    @example(mutation=("flip", [(11, 7)]))
     def check(mutation):
         work.write_bytes(_mutate(raw, mutation))
         _read_within_file_size(reader, work)

@@ -48,6 +48,29 @@ def conv3d_backward_loop(x, w, gy, stride=(1, 1, 1)):
     return gx, gw, gy.sum(axis=(0, 2, 3, 4))
 
 
+def pool_loop(x, gy, kernel, stride, kind):
+    """Direct per-window oracle: the mean, or the first maximum with gy sent
+    to it. Returns (y, gx)."""
+    B, F, D, H, W = x.shape
+    out = [(n - k) // s + 1 for n, k, s in zip((D, H, W), kernel, stride)]
+    y = np.empty((B, F, *out))
+    gx = np.zeros_like(x)
+    for b, f, *o in np.ndindex(B, F, *out):
+        at = (b, f, *(slice(i * s, i * s + k) for i, s, k in zip(o, stride, kernel)))
+        win = x[at]
+        if kind == "avg":
+            total = 0.0
+            for v in win.flat:
+                total += v
+            y[(b, f, *o)] = total / win.size
+            gx[at] += gy[(b, f, *o)] / win.size
+        else:
+            j = np.unravel_index(np.argmax(win), win.shape)
+            y[(b, f, *o)] = win[j]
+            gx[at][j] += gy[(b, f, *o)]
+    return y, gx
+
+
 class TestConv3d:
     def test_table_shapes(self):
         x = np.zeros((2, 1, 8, 8, 1001))
@@ -217,23 +240,23 @@ class TestThreads:
 class TestPooling:
     def test_table_widths(self):
         x = np.zeros((1, 20, 3, 3, 862))
-        assert nn.avgpool3d(x, (1, 1, 4)).shape == (1, 20, 3, 3, 215)
+        assert nn.AvgPool3d((1, 1, 4)).forward(x).shape == (1, 20, 3, 3, 215)
         x = np.zeros((1, 12, 4, 4, 931))
         assert nn.MaxPool3d((1, 1, 2)).forward(x).shape == (1, 12, 4, 4, 465)
 
     def test_constant_input(self):
         x = np.full((1, 2, 2, 2, 8), 3.25)
-        assert np.all(nn.avgpool3d(x, (1, 1, 4)) == 3.25)
+        assert np.all(nn.AvgPool3d((1, 1, 4)).forward(x) == 3.25)
         assert np.all(nn.MaxPool3d((1, 1, 4)).forward(x) == 3.25)
 
     def test_avg_is_mean_max_is_max(self):
         x = np.arange(8.0).reshape(1, 1, 1, 1, 8)
-        assert np.array_equal(nn.avgpool3d(x, (1, 1, 2)).ravel(), [0.5, 2.5, 4.5, 6.5])
+        assert np.array_equal(nn.AvgPool3d((1, 1, 2)).forward(x).ravel(), [0.5, 2.5, 4.5, 6.5])
         assert np.array_equal(nn.MaxPool3d((1, 1, 2)).forward(x).ravel(), [1, 3, 5, 7])
 
     def test_kernel_larger_than_axis(self):
         with pytest.raises(ValueError, match="larger"):
-            nn.avgpool3d(np.zeros((1, 1, 1, 1, 3)), (1, 1, 4))
+            nn.AvgPool3d((1, 1, 4)).forward(np.zeros((1, 1, 1, 1, 3)))
 
     @settings(max_examples=40, deadline=None)
     @given(d=st.integers(1, 6), h=st.integers(1, 6), w=st.integers(1, 12),
@@ -243,7 +266,7 @@ class TestPooling:
         if kd > d or kh > h or kw > w:
             return
         x = np.zeros((1, 1, d, h, w))
-        got = nn.avgpool3d(x, (kd, kh, kw), (kd, kh, sw)).shape
+        got = nn.AvgPool3d((kd, kh, kw), (kd, kh, sw)).forward(x).shape
         want = (1, 1, (d - kd) // kd + 1, (h - kh) // kh + 1, (w - kw) // sw + 1)
         assert got == want
 
@@ -264,24 +287,40 @@ class TestPooling:
 
             assert nn.grad_check(fn, [x], eps=1e-5, sample=150) < 1e-6
 
+    @pytest.mark.parametrize("kind", ["avg", "max"])
+    @pytest.mark.parametrize("kernel, stride, shape, tol", [
+        ((1, 1, 2), (1, 1, 2), (3, 2, 2, 3, 11), 0.0),
+        ((1, 1, 4), (1, 1, 4), (3, 2, 2, 3, 11), 0.0),
+        ((1, 2, 3), (1, 2, 2), (2, 2, 3, 4, 9), 1e-12),
+        ((2, 1, 4), (1, 1, 3), (2, 2, 3, 4, 9), 1e-12),
+    ], ids=["tile2", "tile4", "gate2avg", "gate2max"])
+    def test_matches_window_loop(self, kind, kernel, stride, shape, tol):
+        # Small integers make ties common; the first maximum takes the
+        # gradient. Tiles leave a short tail of the time axis unused.
+        x = RngStream(30).integers(0, 3, shape).astype(np.float64)
+        layer = (nn.AvgPool3d if kind == "avg" else nn.MaxPool3d)(kernel, stride)
+        y = layer.forward(x, train=True)
+        gy = RngStream(31).normal(y.shape)
+        gx = layer.backward(gy)
+        y_want, gx_want = pool_loop(x, gy, kernel, stride, kind)
+        if tol == 0.0:
+            assert y.tobytes() == y_want.tobytes()
+            assert gx.tobytes() == gx_want.tobytes()
+        else:
+            assert np.max(np.abs(y - y_want)) <= tol
+            assert np.max(np.abs(gx - gx_want)) <= tol
 
-    @pytest.mark.parametrize("layer_cls", [nn.AvgPool3d, nn.MaxPool3d])
-    @pytest.mark.parametrize("k", [2, 4])
-    def test_time_tile_fast_path_matches_general(self, monkeypatch, layer_cls, k):
-        # Small integers make argmax ties common; both paths take the first.
-        x = RngStream(30).integers(0, 3, (3, 2, 2, 3, 11)).astype(np.float64)
-        gy = RngStream(31).normal((3, 2, 2, 3, 11 // k))
-        runs = []
-        for general in (False, True):
-            if general:
-                monkeypatch.setattr(nn, "_time_tiles", lambda kernel, stride: False)
-            layer = layer_cls((1, 1, k))
-            y = layer.forward(x, train=True)
-            runs.append((y, layer.backward(gy)))
-        (y_fast, g_fast), (y_gen, g_gen) = runs
-        assert np.array_equal(y_fast, y_gen)
-        assert np.array_equal(g_fast, g_gen)
-        assert np.count_nonzero(g_fast[..., 11 // k * k:]) == 0
+    def test_max_nan_in_window(self):
+        x = RngStream(32).integers(0, 3, (1, 1, 1, 1, 8)).astype(np.float64)
+        x[..., 1] = np.nan                        # second element of window 0
+        x[..., 4] = x[..., 5] = np.nan            # both elements of window 2
+        layer = nn.MaxPool3d((1, 1, 2))
+        y = layer.forward(x, train=True)
+        assert np.array_equal(np.isnan(y).ravel(), [True, False, True, False])
+        gy = RngStream(33).normal(y.shape)
+        gx = layer.backward(gy)
+        _, gx_want = pool_loop(x, gy, (1, 1, 2), (1, 1, 2), "max")
+        assert gx.tobytes() == gx_want.tobytes()
 
 
 class TestBatchNorm:

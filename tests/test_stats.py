@@ -292,7 +292,7 @@ class TestExportTopomap:
         rows = [line.split(",") for line in
                 open(paths["t_csv"]).read().strip().splitlines()]
         assert len(rows) == 8 and all(len(r) == 8 for r in rows)
-        r, c = montage.cell_of("Oz")
+        r, c = divmod(montage.channel_names.index("Oz"), montage.side)
         i = report.channel_names.index("Oz")
         assert float(rows[r][c]) == float(f"{report.t[i]:.9g}")
 
