@@ -1,16 +1,18 @@
 """The attention + dual-stream 3D-CNN classifier.
 
-Pipeline per batch of [B, C, T] epochs: channel attention, montage grid
-rearrangement to [B, 1, g, g, T], two parallel convolution streams over the
-same grid (stream one: three convs with average pooling; stream two: five
-convs with max pooling), concatenation of the equal-shaped stream outputs
-along the spatial height axis, a fusion convolution block, then a single
-dense layer producing one logit per class.
+Pipeline per batch of [B, C, T] epochs whose channels are in the montage's
+row-major order (training.align_to_montage resolves them by name): channel
+attention, a reshape onto the grid [B, 1, g, g, T], two parallel
+convolution streams over the same grid (stream one: three convs with
+average pooling; stream two: five convs with max pooling), concatenation of
+the equal-shaped stream outputs along the spatial height axis, a fusion
+convolution block, then a single dense layer producing one logit per class.
 
 The layers are listed once, as rows derived from the configuration
 (_topology); shape_chain, param_count and the model's layers all follow from
-those rows. The full-size configuration reproduces a fixed 18-row chain of
-intermediate shapes (see shape_chain); a reduced configuration with the same
+those rows. The model runs them as one layer sequence, forward in order and
+backward in reverse. The full-size configuration reproduces a fixed 18-row
+chain of intermediate shapes (see shape_chain); a reduced configuration with the same
 topology exists for gradient checks and fast end-to-end tests.
 """
 
@@ -175,6 +177,47 @@ def _uniform_init(stream: RngStream, shape, fan_in: int, dtype):
     return ((stream.uniform(shape) * 2.0 - 1.0) * bound).astype(dtype)
 
 
+class _Reshape:
+    """Parameter-free layer between two fixed per-trial shapes."""
+
+    def __init__(self, shape_in, shape_out, name):
+        self.shape_in, self.shape_out = tuple(shape_in), tuple(shape_out)
+        self.name, self.params, self.grads = name, {}, {}
+
+    def forward(self, x, train=False, stream=None):
+        return x.reshape(x.shape[:1] + self.shape_out)
+
+    def backward(self, g):
+        return g.reshape(g.shape[:1] + self.shape_in)
+
+
+class _Streams:
+    """Runs every stream (a list of layers) on the same input and stacks
+    their equal-shaped outputs along height. The backward pass splits the
+    gradient the same way and sums the streams' input gradients in order."""
+
+    def __init__(self, streams, name):
+        self.streams = streams
+        self.name, self.params, self.grads = name, {}, {}
+
+    def forward(self, x, train=False, stream=None):
+        outs = []
+        for layers in self.streams:
+            y = x
+            for layer in layers:
+                y = layer.forward(y, train=train, stream=stream)
+            outs.append(y)
+        return np.concatenate(outs, axis=3)
+
+    def backward(self, g):
+        gx = None
+        for layers, gy in zip(self.streams, np.split(g, len(self.streams), axis=3)):
+            for layer in reversed(layers):
+                gy = layer.backward(gy)
+            gx = gy if gx is None else gx + gy
+        return gx
+
+
 class AdsNet:
     """Model instance: parameters, normalization state and wiring."""
 
@@ -216,6 +259,7 @@ class AdsNet:
         }
         self.b1, self.b2, self.b3 = [[make[kind](name, arg) for name, kind, arg in rows]
                                      for rows in _topology(cfg)]
+        chain = shape_chain(cfg)
         n_flat = flat_features(cfg)
         self.head = Dense(
             _uniform_init(init, (n_flat, cfg.n_classes), n_flat, self.dtype),
@@ -223,6 +267,10 @@ class AdsNet:
             name="head",
         )
         self._layers = [self.attn] + self.b1 + self.b2 + self.b3 + [self.head]
+        # Input rows are in montage order, so the grid is a plain reshape.
+        self._seq = [self.attn, _Reshape((cfg.n_channels, t), chain[0][1], "reshape"),
+                     _Streams([self.b1, self.b2], "concat"), *self.b3,
+                     _Reshape(chain[-1][1], (n_flat,), "flatten"), self.head]
 
     # -- parameter bookkeeping ------------------------------------------------
 
@@ -271,61 +319,28 @@ class AdsNet:
 
     # -- execution -------------------------------------------------------------
 
-    def _run(self, layers, x, train, stream, trace):
-        for layer in layers:
-            x = layer.forward(x, train=train, stream=stream)
-            if trace is not None:
-                trace.append((layer.name, x.shape[1:]))
-        return x
-
-    def forward(self, batch: np.ndarray, channel_names=None, train: bool = False,
-                stream: RngStream | None = None, trace: list | None = None) -> np.ndarray:
-        """Batch [B, C, T] of epochs (montage channel order by default) -> logits."""
+    def forward(self, batch: np.ndarray, train: bool = False,
+                stream: RngStream | None = None) -> np.ndarray:
+        """Batch [B, C, T] of epochs in montage channel order -> logits."""
         cfg = self.config
         x = np.asarray(batch, dtype=self.dtype)
         if x.ndim != 3 or x.shape[1] != cfg.n_channels or x.shape[2] != cfg.n_samples:
             raise ValueError(
                 f"input: expected [B, {cfg.n_channels}, {cfg.n_samples}], got {x.shape}"
             )
-        names = channel_names if channel_names is not None else self.montage.channel_names
-        self._grid_idx = self.montage.grid_index(names)
-        attended = self._run([self.attn], x, train, stream, trace)
-        grid = attended[:, self._grid_idx, :]
-        x = grid.reshape(x.shape[0], 1, cfg.grid_side, cfg.grid_side, cfg.n_samples)
-        if trace is not None:
-            trace.append(("reshape", x.shape[1:]))
-        y1 = self._run(self.b1, x, train, stream, trace)
-        y2 = self._run(self.b2, x, train, stream, trace)
-        fused = np.concatenate([y1, y2], axis=3)
-        if trace is not None:
-            trace.append(("concat", fused.shape[1:]))
-        y3 = self._run(self.b3, fused, train, stream, trace)
-        self._flat_shape = y3.shape
-        return self._run([self.head], y3.reshape(y3.shape[0], -1), train, stream, trace)
+        for layer in self._seq:
+            x = layer.forward(x, train=train, stream=stream)
+        return x
 
-    @staticmethod
-    def _back(layers, g):
-        for layer in reversed(layers):
-            g = layer.backward(g)
-        return g
-
-    def loss_and_grads(self, batch, labels, channel_names=None,
-                       stream: RngStream | None = None):
+    def loss_and_grads(self, batch, labels, stream: RngStream | None = None):
         """Mean cross-entropy and gradients for every parameter."""
-        logits = self.forward(batch, channel_names, train=True, stream=stream)
-        loss, g = cross_entropy(logits, labels)
-        g = self._back(self.b3, self.head.backward(g).reshape(self._flat_shape))
-        h_half = g.shape[3] // 2
-        g_grid = (self._back(self.b1, g[:, :, :, :h_half, :])
-                  + self._back(self.b2, g[:, :, :, h_half:, :]))
-        g_grid = g_grid.reshape(g.shape[0], self.config.n_channels, self.config.n_samples)
-        g_att = np.empty_like(g_grid)
-        g_att[:, self._grid_idx.ravel(), :] = g_grid
-        self.attn.backward(g_att)
+        loss, g = cross_entropy(self.forward(batch, train=True, stream=stream), labels)
+        for layer in reversed(self._seq):
+            g = layer.backward(g)
         grads = {f"{layer.name}.{key}": layer.grads[key]
                  for layer in self._layers for key in layer.params}
         return loss, grads
 
-    def predict(self, batch, channel_names=None) -> np.ndarray:
+    def predict(self, batch) -> np.ndarray:
         """Eval-mode class indices; ties resolve to the lowest index."""
-        return np.argmax(self.forward(batch, channel_names, train=False), axis=1)
+        return np.argmax(self.forward(batch, train=False), axis=1)

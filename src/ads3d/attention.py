@@ -3,8 +3,8 @@
 A [C, T] epoch is linearly projected along its time axis into queries and
 keys of width d_k and values of width d_v; the channel-by-channel score
 matrix softmax(Q K^T / sqrt(d_k)) then reweights the values. The layer
-requires d_v == T, so its output keeps the epoch shape and can feed the grid
-rearrangement.
+requires d_v == T, so its output keeps the epoch shape and can be reshaped
+onto the grid.
 
 All operations accept a leading batch axis. Weights act on the time axis
 only, so the whole block is equivariant under channel permutations.
@@ -25,20 +25,6 @@ def project_qkv(x: np.ndarray, params: dict):
             f"input time axis {x.shape[-1]} != projection rows {params['wq'].shape[0]}"
         )
     return x @ params["wq"], x @ params["wk"], x @ params["wv"]
-
-
-def scaled_dot_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """softmax(q k^T / sqrt(d_k)) v, rows of the weight matrix sum to 1."""
-    q, k, v = np.asarray(q), np.asarray(k), np.asarray(v)
-    if q.shape[-1] != k.shape[-1]:
-        raise ValueError("q and k must share d_k")
-    if q.shape[-2] != k.shape[-2] or k.shape[-2] != v.shape[-2]:
-        raise ValueError("q, k, v must share the channel axis")
-    for name, a in (("q", q), ("k", k), ("v", v)):
-        if not np.all(np.isfinite(a)):
-            raise ValueError(f"non-finite values in {name}")
-    scores = q @ np.swapaxes(k, -1, -2) / np.sqrt(q.shape[-1])
-    return softmax(scores) @ v
 
 
 class ChannelAttention:

@@ -221,10 +221,10 @@ def cmd_train(config: dict) -> None:
                                      k=config["folds"], hyper=hyper,
                                      seed=config["seed"], jobs=config["jobs"])
     os.makedirs(config["out_dir"], exist_ok=True)
+    model = AdsNet(net_config, montage, seed=config["seed"])   # load_state sets every entry
     for report in result.reports:
         base = os.path.join(config["out_dir"], f"fold{report.fold}")
         eegio.atomic_write(base + ".log", report.log_text())
-        model = AdsNet(net_config, montage, seed=config["seed"])
         model.load_state(report.best_state)
         ckpt = model.to_checkpoint({
             "fold": str(report.fold),

@@ -3,7 +3,8 @@
 The grid lets 3D convolutions see a gap-free spatial layout instead of a
 scattered electrode cloud. The assignment is data, not code: computation is
 map-agnostic and channels are always resolved by name (case-insensitive),
-never by recording order.
+never by recording order: training.align_to_montage puts them in the map's
+row-major cell order (channel_names), which the model reshapes onto the grid.
 
 File format: '#' comment lines ignored, then exactly 64 lines
 ``row col name`` with row/col in 0..7.
@@ -14,8 +15,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from importlib import resources
-
-import numpy as np
 
 GRID_SIDE = 8
 
@@ -79,27 +78,6 @@ class MontageMap:
                         stacklevel=3,
                     )
 
-    def grid_index(self, channel_names) -> np.ndarray:
-        """[side, side] positions of each grid cell in channel_names order."""
-        lookup = {str(n).lower(): i for i, n in enumerate(channel_names)}
-        if len(lookup) != len(tuple(channel_names)):
-            raise MontageError("duplicate names in channel list")
-        idx = np.empty((self.side, self.side), dtype=np.intp)
-        for r, row in enumerate(self.grid):
-            for c, name in enumerate(row):
-                try:
-                    idx[r, c] = lookup[name.lower()]
-                except KeyError:
-                    raise MontageError(
-                        f"montage channel {name!r} missing from epoch channels"
-                    ) from None
-        if len(tuple(channel_names)) != self.n_channels:
-            raise MontageError(
-                f"epoch has {len(tuple(channel_names))} channels, montage "
-                f"needs exactly {self.n_channels}"
-            )
-        return idx
-
 
 def _from_cells(cells, side: int) -> MontageMap:
     seen_cells = {}
@@ -156,27 +134,3 @@ def reduced_montage_4x4() -> MontageMap:
         ("C4", "PO4", "O2", "Oz"),
     )
     return MontageMap(grid=grid)
-
-
-def to_grid(epoch: np.ndarray, channel_names, montage: MontageMap) -> np.ndarray:
-    """[..., C, T] channel data -> [..., side, side, T] grid data."""
-    epoch = np.asarray(epoch)
-    if epoch.shape[-2] != montage.n_channels:
-        raise MontageError(
-            f"epoch has {epoch.shape[-2]} channels, montage needs {montage.n_channels}"
-        )
-    idx = montage.grid_index(channel_names)
-    return epoch[..., idx, :]
-
-
-def from_grid(grid: np.ndarray, channel_names, montage: MontageMap) -> np.ndarray:
-    """Exact inverse of to_grid."""
-    grid = np.asarray(grid)
-    side = montage.side
-    if grid.shape[-3] != side or grid.shape[-2] != side:
-        raise MontageError(f"grid must be [..., {side}, {side}, T]")
-    idx = montage.grid_index(channel_names)
-    flat = grid.reshape(grid.shape[:-3] + (side * side,) + grid.shape[-1:])
-    out = np.empty(grid.shape[:-3] + (side * side,) + grid.shape[-1:], dtype=grid.dtype)
-    out[..., idx.ravel(), :] = flat
-    return out

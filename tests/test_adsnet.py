@@ -5,6 +5,7 @@ from dataclasses import replace
 from ads3d import adsnet, eegio, nncore
 from ads3d.montage import default_montage, reduced_montage_4x4
 from ads3d.rng import RngStream
+from ads3d.training import align_to_montage
 
 # Output sizes of every stage of the full configuration, (F, D, H, W).
 FULL_CHAIN = [
@@ -89,23 +90,48 @@ def test_trace_matches_shape_chain():
     for model in both_models():
         cfg = model.config
         x = RngStream(3).normal((2, cfg.n_channels, cfg.n_samples))
-        trace = []
-        model.forward(x, trace=trace)
-        traced = dict(trace)
+        traced = {}
+
+        def record(layer):
+            inner = layer.forward
+
+            def forward(x, **kwargs):
+                y = inner(x, **kwargs)
+                traced[layer.name] = y.shape[1:]
+                return y
+            layer.forward = forward
+
+        for layer in [*model._seq, *model.b1, *model.b2]:
+            record(layer)
+        model.forward(x)
         for stage, shape in adsnet.shape_chain(cfg):
             assert traced[stage] == shape, stage
 
 
-def test_channel_permutation_with_permuted_names_is_invariant():
+def test_forward_and_backward_keep_no_per_call_state():
+    model = reduced_model()
+    keys = set(vars(model))
+    x = RngStream(18).normal((4, 16, 64))
+    model.forward(x, train=True, stream=RngStream(19))
+    assert set(vars(model)) == keys
+    model.loss_and_grads(x, np.array([0, 1, 2, 3]), stream=RngStream(19))
+    assert set(vars(model)) == keys
+
+
+def test_channel_permutation_is_undone_by_align_to_montage():
     model = reduced_model(seed=4)
-    x = RngStream(5).normal((3, 16, 64))
     names = list(model.montage.channel_names)
-    base = model.forward(x, channel_names=names)
+    data = RngStream(5).normal((3, 16, 64))
+    labels = np.zeros(3, dtype=np.int64)
+    base = model.forward(align_to_montage(
+        eegio.EpochSet(data=data, labels=labels, fs=64.0, channel_names=names),
+        model.montage))
     for trial in range(5):
         perm = RngStream(6, trial).permutation(16)
-        permuted_names = [names[i] for i in perm]
-        got = model.forward(x[:, perm, :], channel_names=permuted_names)
-        assert np.max(np.abs(got - base)) < 1e-9
+        permuted = eegio.EpochSet(data=data[:, perm, :], labels=labels, fs=64.0,
+                                  channel_names=[names[i] for i in perm])
+        got = model.forward(align_to_montage(permuted, model.montage))
+        assert np.array_equal(got, base)
 
 
 def test_loss_and_grads_cover_every_parameter():

@@ -54,22 +54,22 @@ class TestProjection:
 
 class TestScaledDotAttention:
     def test_single_channel_returns_values(self):
-        q = np.array([[1.0, 2.0]])
-        k = np.array([[0.3, -1.0]])
-        v = np.array([[5.0, 6.0, 7.0]])
-        assert np.array_equal(att.scaled_dot_attention(q, k, v), v)
+        s = RngStream(4)
+        x = np.array([[5.0, 6.0, 7.0]])
+        layer = att.ChannelAttention(s.normal((3, 2)), s.normal((3, 2)), s.normal((3, 3)))
+        assert np.array_equal(layer.forward(x), x @ layer.params["wv"])
 
     def test_uniform_scores_average_values(self):
-        q = np.zeros((3, 2))
-        k = np.random.default_rng(0).standard_normal((3, 2))
-        v = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        out = att.scaled_dot_attention(q, k, v)
-        assert np.allclose(out, v.mean(axis=0), atol=1e-12)
+        # w_q = 0 makes every score 0, so each row averages the values.
+        k = np.random.default_rng(0).standard_normal((2, 2))
+        layer = att.ChannelAttention(np.zeros((2, 2)), k, np.eye(2))
+        x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        out = layer.forward(x)
+        assert np.allclose(out, x.mean(axis=0), atol=1e-12)
 
     def test_identity_qk_two_channel_example(self):
-        q = k = np.eye(2)
-        v = np.array([[1.0, 0.0], [0.0, 1.0]])
-        out = att.scaled_dot_attention(q, k, v)
+        layer = att.ChannelAttention(np.eye(2), np.eye(2), np.eye(2))
+        out = layer.forward(np.eye(2))
         w = np.exp(1.0 / np.sqrt(2.0))
         want_11 = w / (w + 1.0)
         assert np.allclose(out[0], [want_11, 1 - want_11], atol=1e-12)
@@ -96,11 +96,6 @@ class TestScaledDotAttention:
         scores = s.normal((6, 6))
         assert np.allclose(softmax(scores),
                            softmax(scores + 123.456), atol=1e-6)
-
-    def test_nonfinite_rejected(self):
-        q = np.full((2, 2), np.nan)
-        with pytest.raises(ValueError, match="non-finite"):
-            att.scaled_dot_attention(q, np.ones((2, 2)), np.ones((2, 2)))
 
 
 class TestChannelAttention:

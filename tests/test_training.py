@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ads3d import adsnet, training
+from ads3d import adsnet, eegio, training
 from ads3d.montage import reduced_montage_4x4
 from ads3d.rng import RngStream
 
@@ -249,6 +249,20 @@ def test_align_to_montage_orders_by_name(small_preprocessed):
     for cell, name in enumerate(montage.channel_names[:5]):
         assert np.array_equal(data[:, cell, :],
                               small_preprocessed.data[:, src.index(name), :])
+
+    def epoch_set(perm, names):
+        return eegio.EpochSet(data=small_preprocessed.data[:, perm, :],
+                              labels=small_preprocessed.labels,
+                              fs=small_preprocessed.fs, channel_names=names)
+
+    perm = RngStream(3).permutation(len(src))
+    permuted = epoch_set(perm, [src[i] for i in perm])
+    assert np.array_equal(training.align_to_montage(permuted, montage), data)
+    upper = epoch_set(np.arange(len(src)), [n.upper() for n in src])
+    assert np.array_equal(training.align_to_montage(upper, montage), data)
+    missing = epoch_set(np.arange(len(src)), ["x" + n for n in src])
+    with pytest.raises(ValueError, match="epoch set lacks channel"):
+        training.align_to_montage(missing, montage)
 
 
 def test_standardize_scale_roundtrip():
