@@ -22,7 +22,7 @@ import numpy as np
 
 from . import dsp, eegio, stats, synthgen, training
 from .adsnet import FULL_CONFIG, REDUCED_CONFIG, AdsNet
-from .montage import default_montage, load_montage
+from .montage import default_montage, load_montage, reduced_montage_4x4
 
 _ENV_SEED = "ADS3D_SEED"
 
@@ -72,7 +72,8 @@ _SCHEMAS = {
     "train": {
         **_COMMON,
         "in": (str, None, "preprocessed epoch file (required)"),
-        "montage": (str, "", "montage file (default: packaged 8x8 map)"),
+        "montage": (str, "", "montage file (default: packaged 8x8 map); "
+                             "not with reduced=true"),
         "out_dir": (str, None, "output directory (required)"),
         "folds": (int, 5, "cross-validation folds"),
         "epochs": (int, 200, "training epochs per fold"),
@@ -86,7 +87,8 @@ _SCHEMAS = {
         **_COMMON,
         "in": (str, None, "preprocessed epoch file (required)"),
         "checkpoint": (str, None, "model checkpoint (required)"),
-        "montage": (str, "", "montage file (default: packaged 8x8 map)"),
+        "montage": (str, "", "montage file (default: packaged 8x8 map); must "
+                             "match the one the checkpoint was trained with"),
         "out": (str, None, "metrics output file (required)"),
     },
     "stats": {
@@ -187,18 +189,30 @@ def cmd_synth(config: dict) -> None:
 
 def cmd_preprocess(config: dict) -> None:
     epochs = eegio.read_epochset(config["in"])
+    # float32 output, as EpochSet stores it: no float64 copy of the corpus
+    data = np.empty(epochs.data.shape[:-1] + (config["epoch_length"],), dtype=np.float32)
     data, fs = dsp.preprocess_array(
         epochs.data, epochs.fs,
         notch_hz=config["notch_hz"],
         band=(config["band_low"], config["band_high"]),
         order=config["order"], target_fs=config["target_fs"],
         epoch_onset=config["epoch_onset"], epoch_length=config["epoch_length"],
+        out=data,
     )
     out = eegio.EpochSet(data=data, labels=epochs.labels, fs=fs,
                          channel_names=epochs.channel_names)
     eegio.write_epochset(out, config["out"])
     _echo_config(config, config["out"])
     _log(f"preprocessed {out.n_trials} trials -> {config['out']} (fs={fs:g})")
+
+
+def _model_montage(config, reduced: bool):
+    if not reduced:
+        return _load_montage(config)
+    if config["montage"]:
+        raise CliError("config", "montage= does not apply to a reduced model, "
+                       "which always uses the packaged 4x4 map")
+    return reduced_montage_4x4()
 
 
 def _prepare_training_inputs(epochs, montage, reduced: bool, scale=None):
@@ -211,7 +225,7 @@ def _prepare_training_inputs(epochs, montage, reduced: bool, scale=None):
 
 def cmd_train(config: dict) -> None:
     epochs = eegio.read_epochset(config["in"])
-    montage = _load_montage(config)
+    montage = _model_montage(config, config["reduced"])
     net_config = REDUCED_CONFIG if config["reduced"] else FULL_CONFIG
     data, labels, montage, scale = _prepare_training_inputs(
         epochs, montage, config["reduced"])
@@ -233,6 +247,7 @@ def cmd_train(config: dict) -> None:
             "best_eval_acc": repr(report.best_eval_acc),
             "input_scale": repr(scale),
             "model": "reduced" if config["reduced"] else "full",
+            "montage": " ".join(montage.channel_names),
         })
         eegio.write_checkpoint(ckpt, base + ".ckpt")
     summary = [f"mean_accuracy {result.mean_accuracy:.6f}",
@@ -251,7 +266,12 @@ def cmd_eval(config: dict) -> None:
     ckpt = eegio.read_checkpoint(config["checkpoint"])
     reduced = ckpt.metadata.get("model", "full") == "reduced"
     net_config = REDUCED_CONFIG if reduced else FULL_CONFIG
-    montage = _load_montage(config)
+    montage = _model_montage(config, reduced)
+    trained = ckpt.metadata.get("montage", "").split()   # absent in older checkpoints
+    if trained and [n.lower() for n in trained] != [
+            n.lower() for n in montage.channel_names]:
+        raise CliError("config", "checkpoint was trained with another montage; "
+                       "give eval the montage= that train had")
     scale = float(ckpt.metadata["input_scale"]) if "input_scale" in ckpt.metadata else None
     data, labels, montage, _ = _prepare_training_inputs(epochs, montage, reduced, scale)
     model = AdsNet(net_config, montage, seed=config["seed"])

@@ -6,8 +6,11 @@ dB in use. The canonical chain for raw 500 Hz recordings is
 ``notch60 -> bandpass 4-40 Hz -> downsample to 250 Hz -> extract_epoch``.
 
 Every step acts on each row (one channel of one trial) alone, so
-``preprocess_array`` runs the chain over blocks of rows and holds one block
-in float64 at a time; the output is bit-identical to a whole-array run.
+``preprocess_array`` runs the chain over blocks of rows, up to
+``lanes.LANES`` blocks at once (see the ``lanes`` module), each filtered in
+float64 and stored straight into the output; the output is bit-identical to
+a whole-array run whatever the block size or thread count. A call whose
+rows fit in ``BLOCK_BYTES`` runs as one block on the calling thread.
 ``scipy.signal`` is imported where it is used, which keeps it out of
 commands that never filter.
 """
@@ -18,8 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Bytes of float64 input rows processed per block by preprocess_array.
-BLOCK_BYTES = 4 << 20
+from . import lanes
+
+# Bytes of float64 input rows in flight at once, over all lanes, in
+# preprocess_array, stats.welch_psd and training.prepare_reduced_inputs:
+# rows that fit run as one block on the calling thread, more rows in blocks
+# of BLOCK_BYTES // lanes.LANES. Each block's filter workspace is a few
+# times its size.
+BLOCK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -147,24 +156,31 @@ def extract_epoch(recording: np.ndarray, onset_sample: int, length: int = 1001) 
 def preprocess_array(data: np.ndarray, fs: float, *, notch_hz: float = 60.0,
                      band: tuple[float, float] = (4.0, 40.0), order: int = 5,
                      target_fs: float = 250.0, epoch_onset: int = 0,
-                     epoch_length: int = 1001) -> tuple[np.ndarray, float]:
+                     epoch_length: int = 1001, out: np.ndarray | None = None
+                     ) -> tuple[np.ndarray, float]:
     """Full chain on [..., samples] data of any float dtype; returns
-    (float64 epochs, new_fs). Rows are filtered BLOCK_BYTES of float64 at a
-    time, straight into the output."""
+    (epochs, new_fs). The epochs are float64, or written into `out`, a
+    C-contiguous [..., epoch_length] array of any float dtype. Rows are
+    filtered in float64 blocks (see BLOCK_BYTES) straight into the output."""
     factor = int(round(fs / target_fs))
     if factor < 1 or abs(fs / factor - target_fs) > 1e-9:
         raise ValueError(f"fs={fs} is not an integer multiple of {target_fs}")
     filters = [design_notch(notch_hz, fs)] if notch_hz else []
     filters.append(design_butter_bandpass(band[0], band[1], fs, order))
     data = np.asarray(data)
+    shape = data.shape[:-1] + (epoch_length,)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous {shape} array")
     rows = data.reshape(-1, data.shape[-1])
-    out = np.empty(data.shape[:-1] + (epoch_length,))
     out_rows = out.reshape(-1, epoch_length)
-    step = max(1, BLOCK_BYTES // (8 * data.shape[-1]))
-    for lo in range(0, rows.shape[0], step):
-        x = rows[lo:lo + step]
+
+    def block(lo, hi):
+        x = rows[lo:hi]
         for cascade in filters:
             x = filtfilt(cascade, x)
-        out_rows[lo:lo + step] = extract_epoch(downsample(x, factor),
-                                               epoch_onset, epoch_length)
+        out_rows[lo:hi] = extract_epoch(downsample(x, factor), epoch_onset, epoch_length)
+
+    lanes.run(block, lanes.plan(rows.shape[0], 8 * data.shape[-1], BLOCK_BYTES))
     return out, fs / factor

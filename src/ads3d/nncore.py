@@ -7,8 +7,8 @@ tensors is long (~1000 samples), so convolution runs as an FFT correlation
 along the last axis combined with an explicit window contraction over the
 small depth/height axes; padding the FFT to at least the input length keeps
 the circular result exact for every valid lag. A large convolution runs in
-batch chunks fixed by its shapes, two at a time on a thread pool, so its
-bits do not depend on the number of threads.
+batch chunks fixed by its shapes, two at a time on ``lanes``' thread pool,
+so its bits do not depend on the number of threads.
 
 Every layer, here and ``attention.ChannelAttention``, has one protocol:
 ``name``, ``params``, ``grads``, ``forward(x, train=False, stream=None)``,
@@ -21,12 +21,11 @@ differences.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy import fft as sfft
+
+from . import lanes
 
 # Upper bound on the workspace of all batch chunks of one convolution that
 # are in flight at once. The whole-batch spectra of the input and, in the
@@ -36,54 +35,6 @@ _CHUNK_BYTES = 192 * 1024 * 1024
 # A convolution whose batch needs less workspace than this runs as one
 # chunk on the calling thread; every reduced-model call at batch 40 does.
 _PARALLEL_BYTES = 8 * 1024 * 1024
-# Chunks of a larger call, and the most that run at once. It is fixed, so
-# chunk boundaries, and with them every output bit, depend on the shapes
-# alone, never on the number of CPUs or threads.
-_LANES = 2
-
-_serial = False      # set in fold worker processes, which run one per CPU
-_pool = None         # (pid, ThreadPoolExecutor) of the process that made it
-
-
-def _executor() -> ThreadPoolExecutor:
-    """The thread pool of this process, made again after a fork, whose
-    child inherits the parent's pool object but none of its threads."""
-    global _pool
-    if _pool is None or _pool[0] != os.getpid():
-        _pool = (os.getpid(), ThreadPoolExecutor(max_workers=_LANES,
-                                                 thread_name_prefix="ads3d-conv"))
-    return _pool[1]
-
-
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _lanes(chunks) -> int:
-    """Chunks that run at once: at most _LANES and the usable CPUs; 1 in a
-    fold worker."""
-    return 1 if _serial else min(_LANES, len(chunks), _cpus())
-
-
-def _run_chunks(fn, chunks):
-    """[fn(lo, hi) for each chunk] in chunk order, on _lanes(chunks) threads.
-
-    Lane j runs chunks j, j + lanes, ... one after another, so no more
-    chunk workspaces than lanes exist at once."""
-    lanes = _lanes(chunks)
-    if lanes == 1:
-        return [fn(lo, hi) for lo, hi in chunks]
-
-    def lane(j):
-        return [fn(*chunks[i]) for i in range(j, len(chunks), lanes)]
-
-    results = [None] * len(chunks)
-    for j, done in enumerate(_executor().map(lane, range(lanes))):
-        results[j::lanes] = done
-    return results
 
 
 def _out_len(n: int, k: int, s: int) -> int:
@@ -105,9 +56,9 @@ def _complex_dtype(dtype):
 
 def _conv_plan(x_shape, w_shape, n: int):
     """Batch chunks of one convolution as (lo, hi) pairs, from the shapes
-    alone: one chunk below _PARALLEL_BYTES, else a multiple of _LANES
+    alone: one chunk below _PARALLEL_BYTES, else a multiple of lanes.LANES
     chunks, within one item of each other in size and each at most
-    _CHUNK_BYTES / _LANES by a bound on the larger per-item workspace of
+    _CHUNK_BYTES / lanes.LANES by a bound on the larger per-item workspace of
     the two passes (the forward's window copy, transforms and output
     spectrum; the backward's transposed spectra)."""
     b_, fi, d, h, _ = x_shape
@@ -115,7 +66,7 @@ def _conv_plan(x_shape, w_shape, n: int):
     dp, hp = d - kd + 1, h - kh + 1
     total = b_ * 16 * (n // 2 + 1) * (fi * dp * kd * hp * kh + 3 * fi * d * h
                                       + 2 * fo * dp * hp)
-    parts = 1 if total < _PARALLEL_BYTES else min(b_, _LANES * -(-total // _CHUNK_BYTES))
+    parts = 1 if total < _PARALLEL_BYTES else min(b_, lanes.LANES * -(-total // _CHUNK_BYTES))
     edges = [b_ * j // parts for j in range(parts + 1)]
     return list(zip(edges[:-1], edges[1:]))
 
@@ -135,7 +86,7 @@ def _conv_forward(x, weight, bias, stride):
     chunks = _conv_plan(x.shape, weight.shape, n)
     # pocketfft transforms every lane alone, so its worker count leaves the
     # bits unchanged
-    xf = sfft.rfft(x, n=n, axis=-1, workers=_lanes(chunks))
+    xf = sfft.rfft(x, n=n, axis=-1, workers=lanes.count(chunks))
     wp = w - kw + 1
     out = np.empty((b_, fo, _out_len(d, kd, 1), _out_len(h, kh, 1), wp), dtype=x.dtype)
 
@@ -144,7 +95,7 @@ def _conv_forward(x, weight, bias, stride):
                        optimize=True)
         out[lo:hi] = sfft.irfft(yf, n=n, axis=-1)[..., :wp]
 
-    _run_chunks(run, chunks)
+    lanes.run(run, chunks)
     out += bias.reshape(1, fo, 1, 1, 1)
     if stride != (1, 1, 1):
         out = np.ascontiguousarray(out[:, :, ::sd, ::sh, ::sw])
@@ -163,7 +114,7 @@ def conv3d_backward(x: np.ndarray, weight: np.ndarray, gy: np.ndarray,
     x = np.asarray(x)
     n = sfft.next_fast_len(x.shape[-1], real=True)
     chunks = _conv_plan(x.shape, weight.shape, n)
-    xf = sfft.rfft(x, n=n, axis=-1, workers=_lanes(chunks))
+    xf = sfft.rfft(x, n=n, axis=-1, workers=lanes.count(chunks))
     return _conv_backward(x.shape, x.dtype, xf, weight, gy, stride)
 
 
@@ -190,7 +141,7 @@ def _conv_backward(x_shape, dtype, xf, weight, gy, stride):
     chunks = _conv_plan(x_shape, weight.shape, n)
     kf = sfft.rfft(weight, n=n, axis=-1)
     kmat = np.ascontiguousarray(kf.transpose(2, 3, 4, 0, 1))    # [kD, kH, F, Fo, Fi]
-    gyf = sfft.rfft(gy, n=n, axis=-1, workers=_lanes(chunks))
+    gyf = sfft.rfft(gy, n=n, axis=-1, workers=lanes.count(chunks))
     gx = np.empty(x_shape, dtype=dtype)
 
     def run(lo, hi):
@@ -211,7 +162,7 @@ def _conv_backward(x_shape, dtype, xf, weight, gy, stride):
         gx[lo:hi] = sfft.irfft(gxf.transpose(3, 4, 1, 2, 0), n=n, axis=-1)[..., :w]
         return gwc
 
-    parts = _run_chunks(run, chunks)
+    parts = lanes.run(run, chunks)
     gwc = parts[0]
     for part in parts[1:]:
         gwc += part

@@ -6,8 +6,8 @@ every report says so in its header. Tail probabilities for t and F come
 from the regularized incomplete beta function.
 
 Band powers are computed once per corpus with ``trial_band_powers`` and
-passed to the tests that use them. ``welch_psd`` runs over blocks of rows,
-holding one block in float64 at a time.
+passed to the tests that use them. ``welch_psd`` runs over blocks of rows
+in float64, up to two at once (see ``dsp.BLOCK_BYTES``).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from . import dsp
+from . import dsp, lanes
 from .eegio import EpochSet, atomic_write
 from .montage import MontageMap
 from .synthgen import CLASS_NAMES
@@ -50,8 +50,8 @@ def welch_psd(x: np.ndarray, fs: float, win: int | None = None,
               overlap: float = 0.5):
     """One-sided Welch density (Hann window, per-segment mean removal)
     along the last axis. Returns (freqs, psd). Rows are cast to float64 and
-    transformed dsp.BLOCK_BYTES at a time; each row's result is the same
-    bits as a whole-array call."""
+    transformed in blocks (see dsp.BLOCK_BYTES); each row's result is the
+    same bits as a whole-array call."""
     from scipy import fft, signal
     x = np.asarray(x)
     win = int(round(fs)) if win is None else int(win)
@@ -60,12 +60,14 @@ def welch_psd(x: np.ndarray, fs: float, win: int | None = None,
     rows = x.reshape(-1, x.shape[-1])
     freqs = fft.rfftfreq(win, 1.0 / fs)
     psd = np.empty((rows.shape[0], freqs.size))
-    step = max(1, dsp.BLOCK_BYTES // (8 * x.shape[-1]))
-    for lo in range(0, rows.shape[0], step):
-        _, psd[lo:lo + step] = signal.welch(
-            np.asarray(rows[lo:lo + step], dtype=np.float64), fs=fs,
+
+    def block(lo, hi):
+        _, psd[lo:hi] = signal.welch(
+            np.asarray(rows[lo:hi], dtype=np.float64), fs=fs,
             window="hann", nperseg=win, noverlap=int(win * overlap),
             detrend="constant", scaling="density", axis=-1)
+
+    lanes.run(block, lanes.plan(rows.shape[0], 8 * x.shape[-1], dsp.BLOCK_BYTES))
     return freqs, psd.reshape(x.shape[:-1] + (freqs.size,))
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import fft as sfft
 
+from . import lanes
 from .eegio import EpochSet
 from .montage import CHANNEL_NAMES_64
 from .rng import GAMMA, RngStream, mix64
@@ -27,6 +28,9 @@ from .rng import GAMMA, RngStream, mix64
 CLASS_NAMES = ("split", "spread_out", "fall_in", "hovering")
 
 _NOISE, _BURST, _LINE = 0xB6, 0xB7, 0xB8
+# float64 values of trials in flight at once in generate(), over all lanes.
+# Small blocks keep the draw/transform working set near cache size.
+CHUNK_VALUES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -179,11 +183,9 @@ def generate(config: SynthConfig) -> EpochSet:
     n = config.n_samples
     t = np.arange(n) / config.fs
     data = np.empty((n_trials, len(config.channel_names), n), dtype=np.float32)
-    # Small chunks keep the draw/transform working set near cache size; each
-    # is finished in float64 and only then stored as float32.
-    chunk = max(1, min(n_trials, int(2e6 // (len(config.channel_names) * n))))
-    for lo in range(0, n_trials, chunk):
-        hi = min(n_trials, lo + chunk)
+
+    def chunk(lo, hi):
+        # finished in float64, and only then stored as float32
         block = _noise_block(config, np.arange(lo, hi))
         for trial, row in zip(range(lo, hi), block):
             _apply_bursts(row, config, trial, int(labels[trial]), chan_index)
@@ -191,6 +193,8 @@ def generate(config: SynthConfig) -> EpochSet:
                 phase = 2.0 * np.pi * RngStream(config.seed, _LINE, trial).uniform()
                 row += config.line_amplitude_uv * np.sin(2.0 * np.pi * 60.0 * t + phase)
         data[lo:hi] = block
+
+    lanes.run(chunk, lanes.plan(n_trials, len(config.channel_names) * n, CHUNK_VALUES))
     return EpochSet(data=data, labels=labels, fs=config.fs,
                     channel_names=config.channel_names)
 

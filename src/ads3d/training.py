@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dsp, nncore
+from . import dsp, lanes
 from .adsnet import AdsNet, AdsNetConfig, REDUCED_CONFIG
 from .eegio import EpochSet
 from .montage import MontageMap, reduced_montage_4x4
@@ -232,8 +232,8 @@ def cross_validate(config: AdsNetConfig, data: np.ndarray, labels: np.ndarray,
 
 
 def _fold_worker(args):
-    # One worker process per CPU already: its convolutions run serially.
-    nncore._serial = True
+    # One worker process per CPU already: its blocks run serially.
+    lanes.serial = True
     return train_one_fold(*args)
 
 
@@ -252,14 +252,18 @@ def standardize(data: np.ndarray, scale: float | None = None):
     return np.asarray(data, dtype=np.float64) / scale, float(scale)
 
 
-def align_to_montage(epochs: EpochSet, montage: MontageMap) -> np.ndarray:
-    """Trial data reordered to the montage's channel order, as float64."""
+def _montage_rows(epochs: EpochSet, montage: MontageMap) -> list:
+    """Channel indices of epochs in the montage's channel order."""
     lookup = {n.lower(): i for i, n in enumerate(epochs.channel_names)}
     try:
-        sel = [lookup[name.lower()] for name in montage.channel_names]
+        return [lookup[name.lower()] for name in montage.channel_names]
     except KeyError as err:
         raise ValueError(f"epoch set lacks channel {err}") from None
-    return epochs.data[:, sel, :].astype(np.float64)
+
+
+def align_to_montage(epochs: EpochSet, montage: MontageMap) -> np.ndarray:
+    """Trial data reordered to the montage's channel order, as float64."""
+    return epochs.data[:, _montage_rows(epochs, montage), :].astype(np.float64)
 
 
 def prepare_reduced_inputs(epochs: EpochSet, montage: MontageMap | None = None,
@@ -269,19 +273,31 @@ def prepare_reduced_inputs(epochs: EpochSet, montage: MontageMap | None = None,
 
     Selects the reduced montage's channels, band-limits to stay below the
     decimated Nyquist rate, center-crops before decimating so planted
-    mid-epoch activity survives, then standardizes amplitude.
-    Returns (data[N, C', T'], labels, montage, scale).
+    mid-epoch activity survives, then standardizes amplitude. Trials are
+    filtered in blocks (see dsp.BLOCK_BYTES), and only the cropped,
+    decimated samples are kept. Returns (data[N, C', T'], labels, montage,
+    scale).
     """
     montage = montage or reduced_montage_4x4()
     n_samples = n_samples or REDUCED_CONFIG.n_samples
-    x = align_to_montage(epochs, montage)
+    rows = _montage_rows(epochs, montage)
+    length = epochs.n_samples
+    span = n_samples * decimate
+    if span > length:
+        raise ValueError(f"epochs too short: need {span} samples")
+    lo = (length - span) // 2
     new_nyquist = epochs.fs / decimate / 2.0
     band = dsp.design_butter_bandpass(4.0, 0.8 * new_nyquist, epochs.fs)
-    x = dsp.filtfilt(band, x)
-    span = n_samples * decimate
-    if span > x.shape[-1]:
-        raise ValueError(f"epochs too short: need {span} samples")
-    lo = (x.shape[-1] - span) // 2
-    x = dsp.downsample(x[..., lo:lo + span], decimate)
+    # np.std in standardize sums a strided array row by row but a contiguous
+    # one as one run, which can change the last bits of its mean. A spare
+    # column per row keeps x strided like the crop of a whole filtered array
+    # that it replaces; epochs exactly span long gave one run there too.
+    x = np.empty((epochs.n_trials, len(rows), n_samples + (length != span)))[..., :n_samples]
+
+    def block(a, b):
+        x[a:b] = dsp.downsample(dsp.filtfilt(band, epochs.data[a:b, rows])[..., lo:lo + span],
+                                decimate)
+
+    lanes.run(block, lanes.plan(epochs.n_trials, 8 * len(rows) * length, dsp.BLOCK_BYTES))
     x, scale = standardize(x, scale)
     return x, epochs.labels.astype(np.int64), montage, scale

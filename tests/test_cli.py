@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ads3d import cli, eegio
-from ads3d.adsnet import REDUCED_CONFIG, AdsNet
+from ads3d.adsnet import FULL_CONFIG, REDUCED_CONFIG, AdsNet
 from ads3d.montage import default_montage, reduced_montage_4x4
 from ads3d.rng import RngStream
 
@@ -218,3 +218,71 @@ def test_preprocess_peak_memory_is_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * raw.stat().st_size, peak / raw.stat().st_size
+
+
+def _montage_file(path, swap=None):
+    """The packaged map as a montage file, with two cells' names swapped."""
+    names = list(default_montage().channel_names)
+    if swap:
+        i, j = swap
+        names[i], names[j] = names[j], names[i]
+    path.write_text("".join(f"{k // 8} {k % 8} {n}\n" for k, n in enumerate(names)))
+    return path
+
+
+def _reduced_corpus(tmp_path, seed=3):
+    data = RngStream(seed).normal((8, 64, 300)).astype(np.float32)
+    eegio.write_epochset(eegio.EpochSet(data=data, labels=np.arange(8) % 4, fs=250.0,
+                                        channel_names=default_montage().channel_names),
+                         tmp_path / "e.ads3")
+    return tmp_path / "e.ads3"
+
+
+def test_reduced_runs_refuse_a_montage(tmp_path, capsys):
+    pre = _reduced_corpus(tmp_path)
+    montage = _montage_file(tmp_path / "m.txt")
+    code = run(["train", f"in={pre}", f"out_dir={tmp_path}/run", "reduced=true",
+                "folds=2", "epochs=1", f"montage={montage}"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(err) == 1 and err[0].startswith("error: config: montage=")
+    assert not (tmp_path / "run").exists()
+    ckpt = AdsNet(REDUCED_CONFIG, reduced_montage_4x4()).to_checkpoint(
+        {"model": "reduced", "input_scale": "1.0"})
+    eegio.write_checkpoint(ckpt, tmp_path / "r.ckpt")
+    code = run(["eval", f"in={pre}", f"checkpoint={tmp_path}/r.ckpt",
+                f"out={tmp_path}/m.txt.out", f"montage={montage}"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(err) == 1 and err[0].startswith("error: config: montage=")
+
+
+def test_checkpoints_record_their_montage(tmp_path, capsys):
+    pre = _reduced_corpus(tmp_path)
+    assert run(["train", f"in={pre}", f"out_dir={tmp_path}/run", "reduced=true",
+                "folds=2", "epochs=1"]) == 0
+    meta = eegio.read_checkpoint(tmp_path / "run" / "fold0.ckpt").metadata
+    assert list(meta)[-1] == "montage"
+    assert meta["montage"].split() == list(reduced_montage_4x4().channel_names)
+
+    # A full-size checkpoint evaluated under another map is refused, unless
+    # it predates the entry.
+    names = default_montage().channel_names
+    assert not names[1].lower().endswith("z") and not names[2].lower().endswith("z")
+    swapped = _montage_file(tmp_path / "swapped.txt", swap=(1, 2))
+    full = np.zeros((4, 64, 1001), dtype=np.float32)
+    full[:] = RngStream(5).normal((4, 1, 1001))
+    eegio.write_epochset(eegio.EpochSet(data=full, labels=np.arange(4), fs=250.0,
+                                        channel_names=names), tmp_path / "f.ads3")
+    model = AdsNet(FULL_CONFIG, default_montage(), seed=1)
+    meta = {"model": "full", "input_scale": "1.0", "montage": " ".join(names)}
+    eegio.write_checkpoint(model.to_checkpoint(meta), tmp_path / "f.ckpt")
+    meta.pop("montage")
+    eegio.write_checkpoint(model.to_checkpoint(meta), tmp_path / "old.ckpt")
+    capsys.readouterr()
+    for ckpt, montage, code in (("f", "", 0), ("f", swapped, 1), ("old", swapped, 0),
+                                ("f", _montage_file(tmp_path / "same.txt"), 0)):
+        argv = ["eval", f"in={tmp_path}/f.ads3", f"checkpoint={tmp_path}/{ckpt}.ckpt",
+                f"out={tmp_path}/out.txt", f"montage={montage}"]
+        assert run(argv) == code, (ckpt, montage)
+        err = capsys.readouterr().err.splitlines()
+        if code:
+            assert len(err) == 1 and err[0].startswith("error: config: checkpoint")

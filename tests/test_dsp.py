@@ -213,14 +213,29 @@ def _whole_array_chain(raw, fs):
 
 @pytest.mark.parametrize("block_rows", [None, 3])
 def test_preprocess_blocks_are_bit_identical(monkeypatch, block_rows):
-    # 5 trials x 4 channels = 20 rows: with 3-row blocks the last block is
-    # short, and one trial (4 rows) straddles a block boundary.
+    # 5 trials x 4 channels = 20 rows: a 3-row budget runs 1-row blocks, two
+    # at a time with two CPUs, so trials straddle block boundaries; the
+    # default budget runs one block on the calling thread.
+    from ads3d import lanes
     raw = np.random.default_rng(5).standard_normal((5, 4, 2001)).astype(np.float32)
     if block_rows:
         monkeypatch.setattr(dsp, "BLOCK_BYTES", block_rows * 8 * raw.shape[-1])
-    whole, fs = dsp.preprocess_array(raw, 500.0)
-    assert fs == 250.0 and whole.dtype == np.float64
-    assert np.array_equal(whole, _whole_array_chain(raw, 500.0))
-    singles = [dsp.preprocess_array(raw[i:i + 1], 500.0)[0] for i in range(5)]
-    assert np.array_equal(whole, np.concatenate(singles))
-    assert np.array_equal(singles[0], _whole_array_chain(raw[:1], 500.0))
+    assert len(lanes.plan(20, 8 * raw.shape[-1], dsp.BLOCK_BYTES)) == (20 if block_rows else 1)
+    for cpus in (1, 2):
+        monkeypatch.setattr(lanes, "_cpus", lambda: cpus)
+        whole, fs = dsp.preprocess_array(raw, 500.0)
+        assert fs == 250.0 and whole.dtype == np.float64
+        assert np.array_equal(whole, _whole_array_chain(raw, 500.0))
+        singles = [dsp.preprocess_array(raw[i:i + 1], 500.0)[0] for i in range(5)]
+        assert np.array_equal(whole, np.concatenate(singles))
+        assert np.array_equal(singles[0], _whole_array_chain(raw[:1], 500.0))
+        out = np.empty((5, 4, 1001), dtype=np.float32)
+        assert dsp.preprocess_array(raw, 500.0, out=out)[0] is out
+        assert np.array_equal(out, whole.astype(np.float32))
+
+
+def test_preprocess_rejects_a_wrong_out():
+    raw = np.zeros((2, 3, 2001))
+    for out in (np.empty((2, 3, 1000)), np.empty((3, 2, 1001)).transpose(1, 0, 2)):
+        with pytest.raises(ValueError, match="out must be"):
+            dsp.preprocess_array(raw, 500.0, out=out)

@@ -1,13 +1,9 @@
-import os
-import subprocess
-import sys
-import textwrap
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ads3d import lanes
 from ads3d import nncore as nn
 from ads3d.rng import RngStream
 
@@ -159,8 +155,8 @@ class TestConv3d:
 
 
 class TestThreads:
-    """Large convolutions run in fixed batch chunks on a thread pool; the
-    chunks depend on the shapes only, so the bits never depend on it."""
+    """Large convolutions run in fixed batch chunks on lanes' thread pool;
+    the chunks depend on the shapes only, so the bits never depend on it."""
 
     def _large(self):
         s = RngStream(26)
@@ -174,7 +170,7 @@ class TestThreads:
         x, w, b, gy = self._large()
         runs = []
         for n in (1, 2):
-            monkeypatch.setattr(nn, "_cpus", lambda: n)
+            monkeypatch.setattr(lanes, "_cpus", lambda: n)
             runs.append((nn.conv3d_valid(x, w, b), *nn.conv3d_backward(x, w, gy)))
         for one, two in zip(*runs):
             assert np.array_equal(one, two)
@@ -188,53 +184,13 @@ class TestThreads:
         labels = np.array([0, 1, 2, 3])
         runs = []
         for n in (1, 2):
-            monkeypatch.setattr(nn, "_cpus", lambda: n)
+            monkeypatch.setattr(lanes, "_cpus", lambda: n)
             runs.append(model.loss_and_grads(x, labels, stream=RngStream(28)))
         (loss1, grads1), (loss2, grads2) = runs
         assert loss1 == loss2
         assert list(grads1) == list(grads2)
         for name in grads1:
             assert np.array_equal(grads1[name], grads2[name]), name
-
-    def test_pool_survives_fork(self):
-        # A forked child inherits the pool object but none of its threads:
-        # a threaded convolution there must not wait for them forever.
-        script = textwrap.dedent("""
-            import multiprocessing as mp
-            import numpy as np
-            from ads3d import adsnet, nncore, training
-            from ads3d.montage import reduced_montage_4x4
-            from ads3d.rng import RngStream
-
-            def conv(_):
-                return nncore.conv3d_valid(x, w, np.zeros(6))
-
-            nncore._cpus = lambda: 2
-            s = RngStream(26)
-            x = s.normal((8, 4, 5, 5, 300))
-            w = s.normal((6, 4, 3, 3, 10))
-            here = conv(0)
-            with mp.get_context("fork").Pool(1) as pool:
-                there = pool.map(conv, [0])[0]
-            assert np.array_equal(here, there)
-
-            data = RngStream(29).normal((24, 16, 64))
-            labels = np.arange(24) % 4
-            kwargs = dict(k=2, hyper=training.Hyper(epochs=1, batch_size=8), seed=7)
-            runs = [training.cross_validate(adsnet.REDUCED_CONFIG, data, labels,
-                                            reduced_montage_4x4(), jobs=jobs, **kwargs)
-                    for jobs in (2, 1)]
-            assert [r.eval_loss for r in runs[0].reports] == \
-                [r.eval_loss for r in runs[1].reports]
-            print("ok")
-        """)
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
-        done = subprocess.run([sys.executable, "-c", script], env=env, timeout=120,
-                              capture_output=True, text=True)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "ok"
 
 
 class TestPooling:

@@ -55,26 +55,32 @@ class TestWelch:
 
 @pytest.mark.parametrize("block_rows", [None, 5])
 def test_band_powers_blocks_are_bit_identical(monkeypatch, block_rows):
-    # 3 trials x 4 channels = 12 rows: 5-row blocks end short and split
-    # trials; a 1-trial corpus is the per-trial reference.
+    # 3 trials x 4 channels = 12 rows: a 5-row budget runs 2-row blocks, two
+    # at a time with two CPUs, that split trials; a 1-trial corpus is the
+    # per-trial reference.
     from scipy import signal
-    from ads3d import dsp
+    from ads3d import dsp, lanes
     data = RngStream(20).normal((3, 4, 1001)).astype(np.float32)
     es = eegio.EpochSet(data=data, labels=np.array([0, 1, 3]), fs=250.0,
                         channel_names=("a", "b", "c", "d"))
     if block_rows:
         monkeypatch.setattr(dsp, "BLOCK_BYTES", block_rows * 8 * data.shape[-1])
-    freqs, psd = stats.welch_psd(data, es.fs)
     ref_freqs, ref = signal.welch(data.astype(np.float64), fs=250.0, window="hann",
                                   nperseg=250, noverlap=125, detrend="constant",
                                   scaling="density", axis=-1)
-    assert np.array_equal(freqs, ref_freqs) and np.array_equal(psd, ref)
-    whole = stats.trial_band_powers(es, stats.BOTH_BAND)
-    singles = [stats.trial_band_powers(
-        eegio.EpochSet(data=data[i:i + 1], labels=es.labels[i:i + 1], fs=es.fs,
-                       channel_names=es.channel_names), stats.BOTH_BAND)
-        for i in range(3)]
-    assert np.array_equal(whole, np.concatenate(singles))
+    for cpus in (1, 2):
+        monkeypatch.setattr(lanes, "_cpus", lambda: cpus)
+        freqs, psd = stats.welch_psd(data, es.fs)
+        assert np.array_equal(freqs, ref_freqs) and np.array_equal(psd, ref)
+        whole = stats.trial_band_powers(es, stats.BOTH_BAND)
+        singles = [stats.trial_band_powers(
+            eegio.EpochSet(data=data[i:i + 1], labels=es.labels[i:i + 1], fs=es.fs,
+                           channel_names=es.channel_names), stats.BOTH_BAND)
+            for i in range(3)]
+        assert np.array_equal(whole, np.concatenate(singles))
+    # 1-row blocks, two at a time
+    monkeypatch.setattr(dsp, "BLOCK_BYTES", 8 * data.shape[-1])
+    assert np.array_equal(stats.welch_psd(data, es.fs)[1], ref)
 
 
 class TestBandPower:

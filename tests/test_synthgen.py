@@ -116,3 +116,18 @@ def test_unknown_class_rejected():
 def test_channel_names_default_64():
     assert tiny_config().channel_names == CHANNEL_NAMES_64
     assert len(CHANNEL_NAMES_64) == 64
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_trial_blocks_are_bit_identical(monkeypatch, cpus):
+    # 12 trials of 4 x 101 values: the default budget holds them all in one
+    # block; a 1-trial budget runs 1-trial blocks, two at a time with two CPUs.
+    from ads3d import lanes
+    config = tiny_config(channel_names=("a", "b", "c", "d"), line_amplitude_uv=1.0,
+                         effects=(synthgen.PlantedEffect(("split",), ("b",), 10.0,
+                                                         2.0, 5.0),))
+    monkeypatch.setattr(lanes, "_cpus", lambda: cpus)
+    whole = synthgen.generate(config).data
+    monkeypatch.setattr(synthgen, "CHUNK_VALUES", 4 * 101)
+    assert len(lanes.plan(12, 4 * 101, synthgen.CHUNK_VALUES)) == 12
+    assert np.array_equal(synthgen.generate(config).data, whole)

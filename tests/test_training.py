@@ -279,3 +279,36 @@ def test_prepare_reduced_inputs_shapes(small_preprocessed):
     assert montage.side == 4
     assert abs(data.std() - 1.0) < 1e-9
     assert scale > 0
+
+
+def _whole_array_reduced(epochs, scale=None, n_samples=64, decimate=4):
+    """prepare_reduced_inputs as one whole-array filter: the blocking oracle."""
+    from ads3d import dsp
+    x = training.align_to_montage(epochs, reduced_montage_4x4())
+    x = dsp.filtfilt(dsp.design_butter_bandpass(4.0, 0.8 * epochs.fs / decimate / 2.0,
+                                                epochs.fs), x)
+    lo = (x.shape[-1] - n_samples * decimate) // 2
+    return training.standardize(
+        dsp.downsample(x[..., lo:lo + n_samples * decimate], decimate), scale)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("length", [300, 256])
+def test_prepare_reduced_inputs_blocks_are_bit_identical(monkeypatch, cpus, length):
+    # 256 samples is exactly the 64 x 4 span the reduced model crops
+    from ads3d import dsp, lanes
+    from ads3d.montage import default_montage
+    monkeypatch.setattr(lanes, "_cpus", lambda: cpus)
+    epochs = eegio.EpochSet(data=RngStream(31).normal((9, 64, length)).astype(np.float32),
+                            labels=np.arange(9) % 4, fs=250.0,
+                            channel_names=default_montage().channel_names)
+    ref, ref_scale = _whole_array_reduced(epochs)
+    runs = [training.prepare_reduced_inputs(epochs)]
+    monkeypatch.setattr(dsp, "BLOCK_BYTES", 8 * 16 * length)   # 1-trial blocks
+    assert len(lanes.plan(9, 8 * 16 * length, dsp.BLOCK_BYTES)) == 9
+    runs.append(training.prepare_reduced_inputs(epochs))
+    for data, labels, _, scale in runs:
+        assert scale == ref_scale and np.array_equal(data, ref)
+        assert np.array_equal(labels, epochs.labels)
+    assert np.array_equal(training.prepare_reduced_inputs(epochs, scale=2.5)[0],
+                          _whole_array_reduced(epochs, 2.5)[0])
