@@ -51,7 +51,6 @@ class AdsNetConfig:
     b3_pool: int = 2
     b3_dropout: float = 0.5
     n_classes: int = CLASS_COUNT
-    batch_size: int = 40
 
     def __post_init__(self):
         if self.grid_side * self.grid_side != self.n_channels:
@@ -340,7 +339,3 @@ class AdsNet:
         grads = {f"{layer.name}.{key}": layer.grads[key]
                  for layer in self._layers for key in layer.params}
         return loss, grads
-
-    def predict(self, batch) -> np.ndarray:
-        """Eval-mode class indices; ties resolve to the lowest index."""
-        return np.argmax(self.forward(batch, train=False), axis=1)

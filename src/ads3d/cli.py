@@ -216,6 +216,7 @@ def _model_montage(config, reduced: bool):
 
 
 def _prepare_training_inputs(epochs, montage, reduced: bool, scale=None):
+    """(data, labels, montage, scale); ads3dbench's check_batch_split calls it too."""
     if reduced:
         return training.prepare_reduced_inputs(epochs, scale=scale)
     data = training.align_to_montage(epochs, montage)

@@ -33,30 +33,19 @@ BLOCK_BYTES = 2 << 20
 
 @dataclass(frozen=True)
 class BiquadCascade:
-    """Second-order sections, rows (b0, b1, b2, a1, a2) with a0 == 1."""
+    """Second-order sections as scipy's sos array: rows (b0, b1, b2, 1, a1, a2)."""
 
-    sections: np.ndarray
+    sos: np.ndarray
 
     def __post_init__(self):
-        sec = np.asarray(self.sections, dtype=np.float64)
-        if sec.ndim != 2 or sec.shape[1] != 5:
-            raise ValueError("sections must be [n, 5]")
-        object.__setattr__(self, "sections", sec)
-        for a1, a2 in sec[:, 3:]:
+        sos = np.asarray(self.sos, dtype=np.float64)
+        if sos.ndim != 2 or sos.shape[1] != 6 or np.any(sos[:, 3] != 1.0):
+            raise ValueError("sos must be [n, 6] with a0 == 1")
+        object.__setattr__(self, "sos", sos)
+        for a1, a2 in sos[:, 4:]:
             poles = np.roots([1.0, a1, a2])
             if np.any(np.abs(poles) >= 1.0):
                 raise ValueError("unstable section: pole on or outside unit circle")
-
-    @property
-    def n_sections(self) -> int:
-        return self.sections.shape[0]
-
-    def as_sos(self) -> np.ndarray:
-        sos = np.empty((self.n_sections, 6))
-        sos[:, :3] = self.sections[:, :3]
-        sos[:, 3] = 1.0
-        sos[:, 4:] = self.sections[:, 3:]
-        return sos
 
 
 def design_butter_bandpass(low: float = 4.0, high: float = 40.0,
@@ -65,8 +54,8 @@ def design_butter_bandpass(low: float = 4.0, high: float = 40.0,
     from scipy import signal
     if not (0.0 < low < high < fs / 2.0):
         raise ValueError(f"invalid band edges ({low}, {high}) for fs={fs}")
-    sos = signal.butter(order, [low, high], btype="bandpass", fs=fs, output="sos")
-    return BiquadCascade(np.column_stack([sos[:, :3], sos[:, 4:]]))
+    return BiquadCascade(signal.butter(order, [low, high], btype="bandpass", fs=fs,
+                                       output="sos"))
 
 
 def design_notch(freq: float = 60.0, fs: float = 500.0, q: float = 30.0) -> BiquadCascade:
@@ -74,15 +63,13 @@ def design_notch(freq: float = 60.0, fs: float = 500.0, q: float = 30.0) -> Biqu
         raise ValueError(f"fs={fs} too low for a {freq} Hz notch")
     from scipy import signal
     b, a = signal.iirnotch(freq, q, fs=fs)
-    b = b / a[0]
-    a = a / a[0]
-    return BiquadCascade(np.array([[b[0], b[1], b[2], a[1], a[2]]]))
+    return BiquadCascade(np.concatenate([b, a])[None] / a[0])
 
 
 def magnitude(cascade: BiquadCascade, freqs, fs: float) -> np.ndarray:
     """|H(f)| of the cascade at the given frequencies for a single pass."""
     from scipy import signal
-    _, h = signal.sosfreqz(cascade.as_sos(), worN=np.atleast_1d(freqs), fs=fs)
+    _, h = signal.sosfreqz(cascade.sos, worN=np.atleast_1d(freqs), fs=fs)
     return np.abs(h)
 
 
@@ -107,19 +94,19 @@ def filtfilt(cascade: BiquadCascade, x: np.ndarray) -> np.ndarray:
     """Zero-phase filtering along the last axis: the average of the
     forward-backward and backward-forward double passes.
 
-    Edges are odd-reflection padded by 6 x n_sections samples. Averaging the
+    Edges are odd-reflection padded by 6 samples per section. Averaging the
     two pass orders makes time reversal an exact symmetry,
     filtfilt(x[::-1]) == filtfilt(x)[::-1], bit for bit; the effective
     magnitude response is |H|^2 either way.
     """
     x = np.asarray(x, dtype=np.float64)
-    padlen = 6 * cascade.n_sections
+    sos = cascade.sos
+    padlen = 6 * sos.shape[0]
     if x.shape[-1] <= padlen:
         raise ValueError(
             f"input too short: need more than {padlen} samples, got {x.shape[-1]}"
         )
     from scipy import signal
-    sos = cascade.as_sos()
     zi_unit = signal.sosfilt_zi(sos)
     padded = _odd_pad(x, padlen)
     # y = 0.5 * (fwd_bwd + bwd_fwd), accumulated in place.

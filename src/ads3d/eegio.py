@@ -94,7 +94,6 @@ class ModelCheckpoint:
 
     entries: list[tuple[str, tuple[int, ...], np.ndarray]] = field(default_factory=list)
     metadata: dict[str, str] = field(default_factory=dict)
-    format_version: int = FORMAT_VERSION
 
     def validate(self):
         seen = set()
@@ -219,9 +218,7 @@ def read_epochset(path) -> EpochSet:
 
 def write_checkpoint(ckpt: ModelCheckpoint, path) -> None:
     ckpt.validate()
-    if ckpt.format_version != FORMAT_VERSION:
-        raise FormatError(f"unsupported format version {ckpt.format_version}")
-    parts = [struct.pack("<4sHI", CKPT_MAGIC, ckpt.format_version, len(ckpt.entries))]
+    parts = [struct.pack("<4sHI", CKPT_MAGIC, FORMAT_VERSION, len(ckpt.entries))]
     for name, dims, values in ckpt.entries:
         raw = name.encode("utf-8")
         parts.append(struct.pack("<H", len(raw)))
@@ -264,6 +261,6 @@ def read_checkpoint(path) -> ModelCheckpoint:
             (vlen,) = r.unpack("H")
             metadata[key] = r.text(vlen, "utf-8")
         r.done()
-    ckpt = ModelCheckpoint(entries=entries, metadata=metadata, format_version=version)
+    ckpt = ModelCheckpoint(entries=entries, metadata=metadata)
     ckpt.validate()
     return ckpt

@@ -37,10 +37,6 @@ _CHUNK_BYTES = 192 * 1024 * 1024
 _PARALLEL_BYTES = 8 * 1024 * 1024
 
 
-def _out_len(n: int, k: int, s: int) -> int:
-    return (n - k) // s + 1
-
-
 def _window_dh(a: np.ndarray, kd: int, kh: int) -> np.ndarray:
     """View of [..., D, H, F] as [..., D', kd, H', kh, F] sliding windows."""
     *lead, d, h, f = a.shape
@@ -71,7 +67,7 @@ def _conv_plan(x_shape, w_shape, n: int):
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _conv_forward(x, weight, bias, stride):
+def _conv_forward(x, weight, bias):
     """conv3d_valid and the input spectrum, which the backward pass reuses."""
     x = np.asarray(x)
     b_, fi, d, h, w = x.shape
@@ -80,7 +76,6 @@ def _conv_forward(x, weight, bias, stride):
         raise ValueError(f"input has {fi} feature channels, kernel expects {fi_w}")
     if kd > d or kh > h or kw > w:
         raise ValueError(f"kernel {(kd, kh, kw)} larger than input {(d, h, w)}")
-    sd, sh, sw = stride
     n = sfft.next_fast_len(w, real=True)
     kf = np.conj(sfft.rfft(weight, n=n, axis=-1))
     chunks = _conv_plan(x.shape, weight.shape, n)
@@ -88,7 +83,7 @@ def _conv_forward(x, weight, bias, stride):
     # bits unchanged
     xf = sfft.rfft(x, n=n, axis=-1, workers=lanes.count(chunks))
     wp = w - kw + 1
-    out = np.empty((b_, fo, _out_len(d, kd, 1), _out_len(h, kh, 1), wp), dtype=x.dtype)
+    out = np.empty((b_, fo, d - kd + 1, h - kh + 1, wp), dtype=x.dtype)
 
     def run(lo, hi):
         yf = np.einsum("bidphqf,oipqf->bodhf", _window_dh(xf[lo:hi], kd, kh), kf,
@@ -97,29 +92,16 @@ def _conv_forward(x, weight, bias, stride):
 
     lanes.run(run, chunks)
     out += bias.reshape(1, fo, 1, 1, 1)
-    if stride != (1, 1, 1):
-        out = np.ascontiguousarray(out[:, :, ::sd, ::sh, ::sw])
     return out, xf
 
 
-def conv3d_valid(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
-                 stride: tuple[int, int, int] = (1, 1, 1)) -> np.ndarray:
+def conv3d_valid(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Valid cross-correlation of [B,Fi,D,H,W] with [Fo,Fi,kD,kH,kW] + bias."""
-    return _conv_forward(x, weight, bias, stride)[0]
+    return _conv_forward(x, weight, bias)[0]
 
 
-def conv3d_backward(x: np.ndarray, weight: np.ndarray, gy: np.ndarray,
-                    stride: tuple[int, int, int] = (1, 1, 1)):
-    """Gradients (gx, gw, gb) of conv3d_valid."""
-    x = np.asarray(x)
-    n = sfft.next_fast_len(x.shape[-1], real=True)
-    chunks = _conv_plan(x.shape, weight.shape, n)
-    xf = sfft.rfft(x, n=n, axis=-1, workers=lanes.count(chunks))
-    return _conv_backward(x.shape, x.dtype, xf, weight, gy, stride)
-
-
-def _conv_backward(x_shape, dtype, xf, weight, gy, stride):
-    """Gradients of a convolution from its input spectrum xf.
+def _conv_backward(x_shape, dtype, xf, weight, gy):
+    """Gradients (gx, gw, gb) of a convolution from its input spectrum xf.
 
     The products run per frequency on spectra laid out [F, D, H, B, C],
     one batched GEMM per kernel offset (p, q) and gradient: the output
@@ -127,14 +109,9 @@ def _conv_backward(x_shape, dtype, xf, weight, gy, stride):
     (p, q), and the output gradient times a view of the input spectrum
     shifted by (p, q), whose (H', B) axes merge into one contraction axis.
     Nothing is copied per window."""
-    b_, fi, d, h, w = x_shape
+    _, fi, d, h, w = x_shape
     fo, _, kd, kh, kw = weight.shape
-    sd, sh, sw = stride
-    dp, hp, wp = d - kd + 1, h - kh + 1, w - kw + 1
-    if stride != (1, 1, 1):
-        full = np.zeros((b_, fo, dp, hp, wp), dtype=gy.dtype)
-        full[:, :, ::sd, ::sh, ::sw] = gy
-        gy = full
+    dp, hp = d - kd + 1, h - kh + 1
     cdtype = _complex_dtype(dtype)
     n = sfft.next_fast_len(w, real=True)
     nf = n // 2 + 1
@@ -179,7 +156,7 @@ def _pool_slices(name, shape, kernel, stride):
     dhw = shape[2:]
     if any(k > n for k, n in zip(kernel, dhw)):
         raise ValueError(f"{name}: pool kernel {kernel} larger than input {dhw}")
-    out = [_out_len(n, k, s) for n, k, s in zip(dhw, kernel, stride)]
+    out = [(n - k) // s + 1 for n, k, s in zip(dhw, kernel, stride)]
     return [(..., *(slice(o, o + s * (m - 1) + 1, s)
                     for o, s, m in zip(offset, stride, out)))
             for offset in np.ndindex(*kernel)]
@@ -214,16 +191,15 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
 
 
 class Conv3d:
-    def __init__(self, weight, bias, stride=(1, 1, 1), name="conv"):
+    def __init__(self, weight, bias, name="conv"):
         self.params = {"w": np.asarray(weight), "b": np.asarray(bias)}
-        self.stride = tuple(stride)
         self.name = name
         self.grads = {}
         self._cache = None
 
     def forward(self, x, train=False, stream=None):
         try:
-            y, xf = _conv_forward(x, self.params["w"], self.params["b"], self.stride)
+            y, xf = _conv_forward(x, self.params["w"], self.params["b"])
         except ValueError as err:
             raise ValueError(f"{self.name}: {err}") from None
         # The input spectrum is about the size of the input and spares the
@@ -232,7 +208,7 @@ class Conv3d:
         return y
 
     def backward(self, gy):
-        gx, gw, gb = _conv_backward(*self._cache, self.params["w"], gy, self.stride)
+        gx, gw, gb = _conv_backward(*self._cache, self.params["w"], gy)
         self.grads = {"w": gw, "b": gb}
         return gx
 

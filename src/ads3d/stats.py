@@ -46,12 +46,11 @@ class DegenerateContrastError(ValueError):
     """Paired differences have zero variance; t is undefined."""
 
 
-def welch_psd(x: np.ndarray, fs: float, win: int | None = None,
-              overlap: float = 0.5):
-    """One-sided Welch density (Hann window, per-segment mean removal)
-    along the last axis. Returns (freqs, psd). Rows are cast to float64 and
-    transformed in blocks (see dsp.BLOCK_BYTES); each row's result is the
-    same bits as a whole-array call."""
+def welch_psd(x: np.ndarray, fs: float, win: int | None = None):
+    """One-sided Welch density (Hann window, half overlap, per-segment mean
+    removal) along the last axis. Returns (freqs, psd). Rows are cast to
+    float64 and transformed in blocks (see dsp.BLOCK_BYTES); each row's
+    result is the same bits as a whole-array call."""
     from scipy import fft, signal
     x = np.asarray(x)
     win = int(round(fs)) if win is None else int(win)
@@ -64,7 +63,7 @@ def welch_psd(x: np.ndarray, fs: float, win: int | None = None,
     def block(lo, hi):
         _, psd[lo:hi] = signal.welch(
             np.asarray(rows[lo:hi], dtype=np.float64), fs=fs,
-            window="hann", nperseg=win, noverlap=int(win * overlap),
+            window="hann", nperseg=win, noverlap=win // 2,
             detrend="constant", scaling="density", axis=-1)
 
     lanes.run(block, lanes.plan(rows.shape[0], 8 * x.shape[-1], dsp.BLOCK_BYTES))

@@ -197,7 +197,7 @@ def train_one_fold(config: AdsNetConfig, data: np.ndarray, labels: np.ndarray,
             report.best_epoch = epoch
             report.best_state = copy.deepcopy(model.state_arrays())
     if hyper.epochs == 0:
-        ev_loss, ev_acc, _ = evaluate(model, data, labels, test_idx)
+        ev_loss, ev_acc, _ = evaluate(model, data, labels, test_idx, hyper.batch_size)
         report.best_eval_loss, report.best_eval_acc = ev_loss, ev_acc
         report.best_state = copy.deepcopy(model.state_arrays())
     return report
@@ -266,20 +266,18 @@ def align_to_montage(epochs: EpochSet, montage: MontageMap) -> np.ndarray:
     return epochs.data[:, _montage_rows(epochs, montage), :].astype(np.float64)
 
 
-def prepare_reduced_inputs(epochs: EpochSet, montage: MontageMap | None = None,
-                           n_samples: int = None, decimate: int = 4,
-                           scale: float | None = None):
+def prepare_reduced_inputs(epochs: EpochSet, scale: float | None = None):
     """Adapt preprocessed full-size epochs to the reduced model.
 
     Selects the reduced montage's channels, band-limits to stay below the
-    decimated Nyquist rate, center-crops before decimating so planted
-    mid-epoch activity survives, then standardizes amplitude. Trials are
-    filtered in blocks (see dsp.BLOCK_BYTES), and only the cropped,
+    Nyquist rate after decimating by 4, center-crops before decimating so
+    planted mid-epoch activity survives, then standardizes amplitude. Trials
+    are filtered in blocks (see dsp.BLOCK_BYTES), and only the cropped,
     decimated samples are kept. Returns (data[N, C', T'], labels, montage,
     scale).
     """
-    montage = montage or reduced_montage_4x4()
-    n_samples = n_samples or REDUCED_CONFIG.n_samples
+    montage = reduced_montage_4x4()
+    n_samples, decimate = REDUCED_CONFIG.n_samples, 4
     rows = _montage_rows(epochs, montage)
     length = epochs.n_samples
     span = n_samples * decimate

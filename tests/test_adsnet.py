@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from ads3d import adsnet, eegio, nncore
+from ads3d import adsnet, eegio, nncore, training
 from ads3d.montage import default_montage, reduced_montage_4x4
 from ads3d.rng import RngStream
 from ads3d.training import align_to_montage
@@ -159,15 +159,16 @@ def test_predict_tie_breaks_to_lowest_index():
     model.head.params["w"][...] = 0.0
     model.head.params["b"][...] = 0.0
     x = RngStream(10).normal((3, 16, 64))
-    assert np.array_equal(model.predict(x), [0, 0, 0])
+    _, _, confusion = training.evaluate(model, x, np.array([0, 1, 2]))
+    assert np.array_equal(confusion[:, 0], [1, 1, 1, 0])
 
 
 def test_predict_permutation_of_batch():
     model = reduced_model(seed=11)
     x = RngStream(12).normal((6, 16, 64))
-    preds = model.predict(x)
+    preds = np.argmax(model.forward(x), axis=1)
     perm = RngStream(13).permutation(6)
-    assert np.array_equal(model.predict(x[perm]), preds[perm])
+    assert np.array_equal(np.argmax(model.forward(x[perm]), axis=1), preds[perm])
 
 
 def test_shape_error_names_offending_layer():

@@ -286,3 +286,28 @@ def test_checkpoints_record_their_montage(tmp_path, capsys):
         err = capsys.readouterr().err.splitlines()
         if code:
             assert len(err) == 1 and err[0].startswith("error: config: checkpoint")
+
+
+def test_zero_epochs_stores_the_initial_weights(tmp_path, monkeypatch):
+    from ads3d import training
+    pre = _reduced_corpus(tmp_path)
+    sizes = []
+    evaluate = training.evaluate
+
+    def spy(model, data, labels, indices=None, batch_size=40):
+        sizes.append(batch_size)
+        return evaluate(model, data, labels, indices, batch_size)
+
+    monkeypatch.setattr(training, "evaluate", spy)
+    assert run(["train", f"in={pre}", f"out_dir={tmp_path}/run", "reduced=true",
+                "folds=2", "epochs=0", "batch_size=8", "seed=5"]) == 0
+    assert sizes == [8, 8]
+    for fold in (0, 1):
+        log = (tmp_path / "run" / f"fold{fold}.log").read_text()
+        assert log == "# epoch train_loss eval_loss eval_acc\n# best_epoch 0\n"
+    state = AdsNet(REDUCED_CONFIG, reduced_montage_4x4(), seed=5).state_arrays()
+    entries = eegio.read_checkpoint(tmp_path / "run" / "fold0.ckpt").entries
+    assert [name for name, _, _ in entries] == list(state)
+    for name, dims, values in entries:
+        assert dims == state[name].shape
+        assert np.array_equal(values, state[name].astype(np.float32).ravel()), name

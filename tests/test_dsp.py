@@ -55,12 +55,24 @@ class TestDesign:
 
     def test_five_sections_for_fifth_order(self):
         c = dsp.design_butter_bandpass(4.0, 40.0, fs=250.0)
-        assert c.n_sections == 5
+        assert c.sos.shape == (5, 6)
 
     def test_sections_stable(self):
         c = dsp.design_butter_bandpass(4.0, 40.0, fs=250.0)
-        for b0, b1, b2, a1, a2 in c.sections:
+        for b0, b1, b2, a0, a1, a2 in c.sos:
+            assert a0 == 1.0
             assert np.all(np.abs(np.roots([1.0, a1, a2])) < 1.0)
+
+    @pytest.mark.parametrize("sos, match", [
+        (np.ones((1, 5)), r"\[n, 6\]"),
+        (np.ones(6), r"\[n, 6\]"),
+        ([[1.0, 0.0, 0.0, 2.0, 0.0, 0.0]], "a0 == 1"),
+        ([[1.0, 0.0, 0.0, 1.0, 0.0, -1.0]], "unstable"),
+        ([[1.0, 0.0, 0.0, 1.0, -2.5, 1.0]], "unstable"),
+    ])
+    def test_cascade_rejects_bad_sections(self, sos, match):
+        with pytest.raises(ValueError, match=match):
+            dsp.BiquadCascade(sos)
 
     def test_invalid_edges(self):
         for low, high, fs in [(0.0, 40.0, 250.0), (40.0, 4.0, 250.0),
@@ -130,7 +142,7 @@ class TestFiltfilt:
         from scipy.signal import sosfilt
         x = np.zeros(10 * 250)
         x[0] = 1.0
-        h = sosfilt(c.as_sos(), x)
+        h = sosfilt(c.sos, x)
         assert np.max(np.abs(h[-100:])) < 1e-12
 
     def test_too_short_input(self):

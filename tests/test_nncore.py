@@ -8,40 +8,43 @@ from ads3d import nncore as nn
 from ads3d.rng import RngStream
 
 
-def conv3d_loop(x, w, b, stride=(1, 1, 1)):
+def conv3d_loop(x, w, b):
     """Direct-summation oracle for valid cross-correlation."""
     B, Fi, D, H, W = x.shape
     Fo, _, kd, kh, kw = w.shape
-    sd, sh, sw = stride
-    out = np.zeros((B, Fo, (D - kd) // sd + 1, (H - kh) // sh + 1,
-                    (W - kw) // sw + 1))
+    out = np.zeros((B, Fo, D - kd + 1, H - kh + 1, W - kw + 1))
     for bb in range(B):
         for o in range(Fo):
             for d in range(out.shape[2]):
                 for h in range(out.shape[3]):
                     for t in range(out.shape[4]):
-                        patch = x[bb, :, d * sd:d * sd + kd,
-                                  h * sh:h * sh + kh, t * sw:t * sw + kw]
+                        patch = x[bb, :, d:d + kd, h:h + kh, t:t + kw]
                         out[bb, o, d, h, t] = (patch * w[o]).sum() + b[o]
     return out
 
 
-def conv3d_backward_loop(x, w, gy, stride=(1, 1, 1)):
+def conv3d_backward_loop(x, w, gy):
     """Direct-summation oracle for the gradients of conv3d_loop."""
     Fo, _, kd, kh, kw = w.shape
-    sd, sh, sw = stride
     gx, gw = np.zeros_like(x), np.zeros_like(w)
     for bb in range(gy.shape[0]):
         for o in range(Fo):
             for d in range(gy.shape[2]):
                 for h in range(gy.shape[3]):
                     for t in range(gy.shape[4]):
-                        at = (slice(d * sd, d * sd + kd), slice(h * sh, h * sh + kh),
-                              slice(t * sw, t * sw + kw))
-                        g = gy[bb, o, d, h, t]
-                        gx[(bb, slice(None)) + at] += g * w[o]
-                        gw[o] += g * x[(bb, slice(None)) + at]
+                        at = (bb, slice(None), slice(d, d + kd), slice(h, h + kh),
+                              slice(t, t + kw))
+                        gx[at] += gy[bb, o, d, h, t] * w[o]
+                        gw[o] += gy[bb, o, d, h, t] * x[at]
     return gx, gw, gy.sum(axis=(0, 2, 3, 4))
+
+
+def conv_layer_pass(x, w, b, gy):
+    """Output and gradients (y, gx, gw, gb) of one Conv3d train step."""
+    layer = nn.Conv3d(w, b)
+    y = layer.forward(x, train=True)
+    gx = layer.backward(gy)
+    return y, gx, layer.grads["w"], layer.grads["b"]
 
 
 def pool_loop(x, gy, kernel, stride, kind):
@@ -87,31 +90,19 @@ class TestConv3d:
         x = s.normal((2, 3, 5, 4, 17))
         w = s.normal((4, 3, 2, 3, 6))
         b = s.normal(4)
-        for stride in [(1, 1, 1), (1, 1, 2), (2, 1, 3)]:
-            got = nn.conv3d_valid(x, w, b, stride)
-            assert np.max(np.abs(got - conv3d_loop(x, w, b, stride))) < 1e-10
+        assert np.max(np.abs(nn.conv3d_valid(x, w, b) - conv3d_loop(x, w, b))) < 1e-10
 
     def test_backward_matches_loop_oracle(self):
         s = RngStream(1)
         x = s.normal((2, 3, 5, 4, 17))
         w = s.normal((4, 3, 2, 3, 6))
-        for stride in [(1, 1, 1), (1, 1, 2), (2, 1, 3)]:
-            gy = s.normal(nn.conv3d_valid(x, w, np.zeros(4), stride).shape)
-            got = nn.conv3d_backward(x, w, gy, stride)
-            for g, want in zip(got, conv3d_backward_loop(x, w, gy, stride)):
-                assert g.shape == want.shape
-                assert np.max(np.abs(g - want)) < 1e-10
-
-    def test_layer_backward_reuses_forward_spectra(self):
-        s = RngStream(25)
-        x = s.normal((3, 2, 4, 3, 20))
-        layer = nn.Conv3d(s.normal((2, 2, 2, 2, 5)), s.normal(2))
-        gy = s.normal(layer.forward(x, train=True).shape)
-        gx = layer.backward(gy)
-        want = nn.conv3d_backward(x, layer.params["w"], gy)
-        assert np.array_equal(gx, want[0])
-        assert np.array_equal(layer.grads["w"], want[1])
-        assert np.array_equal(layer.grads["b"], want[2])
+        b = s.normal(4)
+        gy = s.normal((2, 4, 4, 2, 12))
+        y, *got = conv_layer_pass(x, w, b, gy)
+        assert np.max(np.abs(y - conv3d_loop(x, w, b))) < 1e-10
+        for g, want in zip(got, conv3d_backward_loop(x, w, gy)):
+            assert g.shape == want.shape
+            assert np.max(np.abs(g - want)) < 1e-10
 
     def test_linearity_in_input(self):
         s = RngStream(2)
@@ -148,8 +139,7 @@ class TestConv3d:
             loss = float((y * wt).sum())
             if not want:
                 return loss
-            gx, gw, gb = nn.conv3d_backward(x, w, wt.copy())
-            return loss, [gx, gw, gb]
+            return loss, conv_layer_pass(x, w, b, wt.copy())[1:]
 
         assert nn.grad_check(fn, [x, w, b], eps=1e-5, sample=120) < 1e-6
 
@@ -171,7 +161,7 @@ class TestThreads:
         runs = []
         for n in (1, 2):
             monkeypatch.setattr(lanes, "_cpus", lambda: n)
-            runs.append((nn.conv3d_valid(x, w, b), *nn.conv3d_backward(x, w, gy)))
+            runs.append(conv_layer_pass(x, w, b, gy))
         for one, two in zip(*runs):
             assert np.array_equal(one, two)
         assert np.max(np.abs(runs[0][0][:1] - conv3d_loop(x[:1], w, b))) < 1e-10

@@ -107,7 +107,7 @@ class TestEvaluate:
     def test_accuracy_one_when_predictions_match(self):
         model = self._model()
         x = RngStream(0).normal((8, 16, 64))
-        preds = model.predict(x)
+        preds = np.argmax(model.forward(x), axis=1)
         loss, acc, conf = training.evaluate(model, x, preds)
         assert acc == 1.0
         assert np.trace(conf) == 8
