@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lanes
 from . import montage as montage_mod
 from .attention import ChannelAttention
 from .eegio import ModelCheckpoint
@@ -30,6 +31,12 @@ from .nncore import (AvgPool3d, BatchNorm, Conv3d, Dense, Dropout, Elu,
 from .rng import RngStream
 
 CLASS_COUNT = 4
+
+# Input bytes of the trials in flight at once in an eval-mode forward, over
+# both lanes. A full-size trial is 0.5 MB of float64, so a batch of 40 runs
+# as eight blocks of 5 trials; a reduced batch of 40 (0.3 MB) is one block
+# on the calling thread.
+EVAL_BLOCK_BYTES = 5 << 20
 
 
 @dataclass(frozen=True)
@@ -320,13 +327,28 @@ class AdsNet:
 
     def forward(self, batch: np.ndarray, train: bool = False,
                 stream: RngStream | None = None) -> np.ndarray:
-        """Batch [B, C, T] of epochs in montage channel order -> logits."""
+        """Batch [B, C, T] of epochs in montage channel order -> logits.
+
+        In eval mode every layer acts on each trial alone (BatchNorm uses
+        its running statistics), so the batch runs in blocks of trials
+        planned from its shape (see EVAL_BLOCK_BYTES), two at a time on
+        lanes. Train mode runs the batch whole: BatchNorm's batch statistics
+        couple its trials."""
         cfg = self.config
         x = np.asarray(batch, dtype=self.dtype)
         if x.ndim != 3 or x.shape[1] != cfg.n_channels or x.shape[2] != cfg.n_samples:
             raise ValueError(
                 f"input: expected [B, {cfg.n_channels}, {cfg.n_samples}], got {x.shape}"
             )
+        if not train:
+            blocks = lanes.plan(len(x), x.itemsize * cfg.n_channels * cfg.n_samples,
+                                EVAL_BLOCK_BYTES)
+            if len(blocks) > 1:
+                return np.concatenate(lanes.run(lambda lo, hi: self._run(x[lo:hi]),
+                                                blocks))
+        return self._run(x, train, stream)
+
+    def _run(self, x, train=False, stream=None):
         for layer in self._seq:
             x = layer.forward(x, train=train, stream=stream)
         return x

@@ -230,32 +230,47 @@ class BatchNorm:
         self._cache = None
 
     def forward(self, x, train=False, stream=None):
+        # Two full-size buffers in train mode, one in eval mode, each step the
+        # same operation as in the textbook expressions, so the same bits.
         axes = (0, 2, 3, 4)
         shape = (1, -1, 1, 1, 1)
         if train:
             if x.shape[0] < 2:
                 raise ValueError(f"{self.name}: train mode needs batch size >= 2")
+            # x.var's own steps: centre on the mean, square, average.
             mean = x.mean(axis=axes)
-            var = x.var(axis=axes)
+            xhat = x - mean.reshape(shape)
+            y = np.square(xhat)
+            var = y.mean(axis=axes)
             self.running_mean += self.momentum * (mean - self.running_mean)
             self.running_var += self.momentum * (var - self.running_var)
         else:
             mean, var = self.running_mean, self.running_var
+            xhat = y = x - mean.reshape(shape)
         inv = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x - mean.reshape(shape)) * inv.reshape(shape)
+        xhat *= inv.reshape(shape)
+        np.multiply(xhat, self.params["gamma"].reshape(shape), out=y)
+        y += self.params["beta"].reshape(shape)
         self._cache = (xhat, inv, x.shape) if train else None
-        return self.params["gamma"].reshape(shape) * xhat + self.params["beta"].reshape(shape)
+        return y
 
     def backward(self, gy):
         xhat, inv, xshape = self._cache
         axes = (0, 2, 3, 4)
         shape = (1, -1, 1, 1, 1)
-        self.grads = {"gamma": (gy * xhat).sum(axis=axes), "beta": gy.sum(axis=axes)}
-        g_xhat = gy * self.params["gamma"].reshape(shape)
         m = xshape[0] * xshape[2] * xshape[3] * xshape[4]
-        sum_g = g_xhat.sum(axis=axes).reshape(shape)
-        sum_gx = (g_xhat * xhat).sum(axis=axes).reshape(shape)
-        return inv.reshape(shape) / m * (m * g_xhat - sum_g - xhat * sum_gx)
+        # Two full-size buffers: the gradient and a scratch for products.
+        scratch = gy * xhat
+        self.grads = {"gamma": scratch.sum(axis=axes), "beta": gy.sum(axis=axes)}
+        g = gy * self.params["gamma"].reshape(shape)
+        sum_g = g.sum(axis=axes).reshape(shape)
+        sum_gx = np.multiply(g, xhat, out=scratch).sum(axis=axes).reshape(shape)
+        # inv / m * (m * g - sum_g - xhat * sum_gx)
+        g *= m
+        g -= sum_g
+        g -= np.multiply(xhat, sum_gx, out=scratch)
+        g *= inv.reshape(shape) / m
+        return g
 
 
 class Elu:

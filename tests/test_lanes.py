@@ -98,6 +98,22 @@ def test_import_and_warm_up_sized_calls_start_no_thread():
     assert out == "ok"
 
 
+def test_reduced_eval_batch_is_one_block_on_the_calling_thread():
+    out = run_script("""
+        import threading
+        from ads3d import adsnet, lanes
+        from ads3d.montage import reduced_montage_4x4
+        from ads3d.rng import RngStream
+        lanes._cpus = lambda: 2
+        model = adsnet.AdsNet(adsnet.REDUCED_CONFIG, reduced_montage_4x4())
+        assert model.forward(RngStream(30).normal((40, 16, 64))).shape == (40, 4)
+        assert lanes._pool is None
+        assert threading.active_count() == 1, threading.enumerate()
+        print("ok")
+    """)
+    assert out == "ok"
+
+
 def test_pool_survives_fork():
     # A forked child inherits the pool object but none of its threads:
     # a threaded convolution there must not wait for them forever.

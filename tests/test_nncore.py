@@ -145,8 +145,9 @@ class TestConv3d:
 
 
 class TestThreads:
-    """Large convolutions run in fixed batch chunks on lanes' thread pool;
-    the chunks depend on the shapes only, so the bits never depend on it."""
+    """Large convolutions run in fixed batch chunks, and full-size eval
+    batches in blocks of trials, on lanes' thread pool; chunks and blocks
+    depend on the shapes only, so the bits never depend on it."""
 
     def _large(self):
         s = RngStream(26)
@@ -181,6 +182,26 @@ class TestThreads:
         assert list(grads1) == list(grads2)
         for name in grads1:
             assert np.array_equal(grads1[name], grads2[name]), name
+
+    def test_full_model_eval_blocks(self, monkeypatch):
+        # An eval batch of 12 full-size trials runs as blocks of 5, 5 and 2.
+        from ads3d import adsnet
+        from ads3d.montage import default_montage
+        model = adsnet.AdsNet(adsnet.FULL_CONFIG, default_montage(), seed=3)
+        x = RngStream(27).normal((12, 64, 1001))
+        blocks = lanes.plan(12, x[0].nbytes, adsnet.EVAL_BLOCK_BYTES)
+        assert blocks == [(0, 5), (5, 10), (10, 12)]
+        runs = []
+        for n in (1, 2):
+            monkeypatch.setattr(lanes, "_cpus", lambda: n)
+            runs.append(model.forward(x))
+        assert runs[0].shape == (12, 4)
+        assert np.array_equal(runs[0], runs[1])
+        assert np.array_equal(runs[0], np.concatenate([model.forward(x[lo:hi])
+                                                       for lo, hi in blocks]))
+        single = np.concatenate([model.forward(x[i:i + 1]) for i in range(12)])
+        assert np.max(np.abs(runs[0] - single)) <= 1e-12 * np.max(np.abs(single))
+        assert model.forward(x[:0]).shape == (0, 4)
 
 
 class TestPooling:
@@ -317,6 +338,41 @@ class TestBatchNorm:
             return loss, [gx, bn.grads["gamma"], bn.grads["beta"]]
 
         assert nn.grad_check(fn, [x, gamma, beta], eps=1e-5) < 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_same_bits_as_textbook_expressions(self, dtype):
+        axes, shape = (0, 2, 3, 4), (1, -1, 1, 1, 1)
+        s = RngStream(11)
+        x = (s.normal((5, 3, 2, 3, 7)) * 3.0 + 0.5).astype(dtype)
+        # The output gradient as a model hands it over: a view of a wider array.
+        gy = np.split(s.normal((5, 3, 2, 6, 7)).astype(dtype), 2, axis=3)[1]
+        bn = nn.BatchNorm(3, dtype=dtype)
+        bn.params["gamma"][:] = s.normal(3) + 1.0
+        bn.params["beta"][:] = s.normal(3)
+        gamma, beta = bn.params["gamma"].reshape(shape), bn.params["beta"].reshape(shape)
+
+        mean, var = x.mean(axis=axes), x.var(axis=axes)
+        rmean = bn.running_mean + bn.momentum * (mean - bn.running_mean)
+        rvar = bn.running_var + bn.momentum * (var - bn.running_var)
+        inv = 1.0 / np.sqrt(var + bn.eps)
+        xhat = (x - mean.reshape(shape)) * inv.reshape(shape)
+        m = x.size // 3
+        g_xhat = gy * gamma
+        gx = inv.reshape(shape) / m * (
+            m * g_xhat - g_xhat.sum(axis=axes).reshape(shape)
+            - xhat * (g_xhat * xhat).sum(axis=axes).reshape(shape))
+
+        assert np.array_equal(bn.forward(x, train=True), gamma * xhat + beta)
+        assert np.array_equal(bn.running_mean, rmean)
+        assert np.array_equal(bn.running_var, rvar)
+        assert np.array_equal(bn.backward(gy), gx)
+        assert np.array_equal(bn.grads["gamma"], (gy * xhat).sum(axis=axes))
+        assert np.array_equal(bn.grads["beta"], gy.sum(axis=axes))
+
+        inv = 1.0 / np.sqrt(rvar + bn.eps)
+        want = gamma * ((x - rmean.reshape(shape)) * inv.reshape(shape)) + beta
+        y = bn.forward(x)
+        assert y.dtype == dtype and np.array_equal(y, want)
 
 
 class TestElu:
