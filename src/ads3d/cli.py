@@ -81,7 +81,8 @@ _SCHEMAS = {
         "weight_decay": (float, 0.01, "decoupled weight decay"),
         "batch_size": (int, 40, "mini-batch size"),
         "reduced": (_parse_bool, False, "use the reduced model configuration"),
-        "jobs": (int, 1, "concurrent fold workers"),
+        "jobs": (int, 1, "1: folds one after another; 2 or more: two folds "
+                         "at once on the lanes"),
     },
     "eval": {
         **_COMMON,
@@ -225,13 +226,13 @@ def _prepare_training_inputs(epochs, montage, reduced: bool, scale=None):
 
 
 def cmd_train(config: dict) -> None:
+    hyper = training.Hyper(lr=config["lr"], weight_decay=config["weight_decay"],
+                           epochs=config["epochs"], batch_size=config["batch_size"])
     epochs = eegio.read_epochset(config["in"])
     montage = _model_montage(config, config["reduced"])
     net_config = REDUCED_CONFIG if config["reduced"] else FULL_CONFIG
     data, labels, montage, scale = _prepare_training_inputs(
         epochs, montage, config["reduced"])
-    hyper = training.Hyper(lr=config["lr"], weight_decay=config["weight_decay"],
-                           epochs=config["epochs"], batch_size=config["batch_size"])
     result = training.cross_validate(net_config, data, labels, montage,
                                      k=config["folds"], hyper=hyper,
                                      seed=config["seed"], jobs=config["jobs"])

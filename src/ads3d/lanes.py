@@ -7,24 +7,25 @@ whatever the number of threads; ``run`` only decides how many blocks are in
 flight at once. numpy, ``scipy.fft`` and ``scipy.signal`` release the GIL
 while they work.
 
-Work that fits in one block runs on the calling thread and never makes the
-pool. So does a ``run`` called from inside a lane: the pool has only
-``LANES`` threads, and a lane that waited on it for more lanes could wait
-forever.
+This is the one way ads3d runs work at once: the signal path's rows, the
+eval blocks, a convolution's batch chunks and, under ``train jobs=2``, the
+folds of a cross-validation. Work that fits in one block runs on the
+calling thread and never makes the pool. So does a ``run`` called from
+inside a lane, such as a fold's convolutions: the pool has only ``LANES``
+threads, and a lane that waited on it for more lanes could wait forever.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 
 # Blocks that run at once. It is fixed, so block boundaries, and with them
 # every output bit, depend on the shapes alone, never on the number of CPUs
 # or threads.
 LANES = 2
 
-serial = False       # set in fold worker processes, which run one per CPU
 _pool = None         # (pid, ThreadPoolExecutor) of the process that made it
 _in_lane = threading.local()
 
@@ -46,14 +47,6 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def count(blocks) -> int:
-    """Blocks that run at once: at most LANES and the usable CPUs; 1 in a
-    fold worker and inside a lane."""
-    if serial or getattr(_in_lane, "active", False):
-        return 1
-    return min(LANES, len(blocks), _cpus())
-
-
 def plan(items: int, item_size: int, budget: int) -> list:
     """(lo, hi) blocks over `items` of `item_size` each, `budget` in flight.
 
@@ -65,11 +58,14 @@ def plan(items: int, item_size: int, budget: int) -> list:
 
 
 def run(fn, blocks) -> list:
-    """[fn(lo, hi) for each block] in block order, on count(blocks) threads.
+    """[fn(lo, hi) for each block] in block order, on as many threads as
+    there are blocks, LANES and usable CPUs, whichever is fewest; on the
+    calling thread inside a lane.
 
     Lane j runs blocks j, j + lanes, ... one after another, so no more
-    block workspaces than lanes exist at once."""
-    width = count(blocks)
+    block workspaces than lanes exist at once. Every lane ends before run
+    returns or raises; errors surface in lane order, lane 0's first."""
+    width = 1 if getattr(_in_lane, "active", False) else min(LANES, len(blocks), _cpus())
     if width <= 1:
         return [fn(lo, hi) for lo, hi in blocks]
 
@@ -80,7 +76,9 @@ def run(fn, blocks) -> list:
         finally:
             _in_lane.active = False
 
+    futures = [_executor().submit(lane, j) for j in range(width)]
+    wait(futures)
     results = [None] * len(blocks)
-    for j, done in enumerate(_executor().map(lane, range(width))):
-        results[j::width] = done
+    for j, done in enumerate(futures):
+        results[j::width] = done.result()
     return results

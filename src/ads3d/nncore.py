@@ -8,7 +8,8 @@ along the last axis combined with an explicit window contraction over the
 small depth/height axes; padding the FFT to at least the input length keeps
 the circular result exact for every valid lag. A large convolution runs in
 batch chunks fixed by its shapes, two at a time on ``lanes``' thread pool,
-so its bits do not depend on the number of threads.
+and each chunk transforms its own slice of the batch, so its bits do not
+depend on the number of threads.
 
 Every layer, here and ``attention.ChannelAttention``, has one protocol:
 ``name``, ``params``, ``grads``, ``forward(x, train=False, stream=None)``,
@@ -28,9 +29,9 @@ from scipy import fft as sfft
 from . import lanes
 
 # Upper bound on the workspace of all batch chunks of one convolution that
-# are in flight at once. The whole-batch spectra of the input and, in the
-# backward pass, of the output gradient, made before the chunks run, are
-# outside it.
+# are in flight at once, the spectra of each chunk's input and output
+# gradient included. The input spectra that the forward pass keeps for the
+# backward pass are outside it.
 _CHUNK_BYTES = 192 * 1024 * 1024
 # A convolution whose batch needs less workspace than this runs as one
 # chunk on the calling thread; every reduced-model call at batch 40 does.
@@ -56,7 +57,7 @@ def _conv_plan(x_shape, w_shape, n: int):
     chunks, within one item of each other in size and each at most
     _CHUNK_BYTES / lanes.LANES by a bound on the larger per-item workspace of
     the two passes (the forward's window copy, transforms and output
-    spectrum; the backward's transposed spectra)."""
+    spectrum; the backward's output-gradient and transposed spectra)."""
     b_, fi, d, h, _ = x_shape
     fo, _, kd, kh, _ = w_shape
     dp, hp = d - kd + 1, h - kh + 1
@@ -68,7 +69,7 @@ def _conv_plan(x_shape, w_shape, n: int):
 
 
 def _conv_forward(x, weight, bias):
-    """conv3d_valid and the input spectrum, which the backward pass reuses."""
+    """conv3d_valid and each batch chunk's input spectrum, for the backward pass."""
     x = np.asarray(x)
     b_, fi, d, h, w = x.shape
     fo, fi_w, kd, kh, kw = weight.shape
@@ -78,21 +79,19 @@ def _conv_forward(x, weight, bias):
         raise ValueError(f"kernel {(kd, kh, kw)} larger than input {(d, h, w)}")
     n = sfft.next_fast_len(w, real=True)
     kf = np.conj(sfft.rfft(weight, n=n, axis=-1))
-    chunks = _conv_plan(x.shape, weight.shape, n)
-    # pocketfft transforms every lane alone, so its worker count leaves the
-    # bits unchanged
-    xf = sfft.rfft(x, n=n, axis=-1, workers=lanes.count(chunks))
     wp = w - kw + 1
     out = np.empty((b_, fo, d - kd + 1, h - kh + 1, wp), dtype=x.dtype)
 
     def run(lo, hi):
-        yf = np.einsum("bidphqf,oipqf->bodhf", _window_dh(xf[lo:hi], kd, kh), kf,
-                       optimize=True)
+        # pocketfft transforms each line alone: a whole-batch call's bits
+        xf = sfft.rfft(x[lo:hi], n=n, axis=-1)
+        yf = np.einsum("bidphqf,oipqf->bodhf", _window_dh(xf, kd, kh), kf, optimize=True)
         out[lo:hi] = sfft.irfft(yf, n=n, axis=-1)[..., :wp]
+        return xf
 
-    lanes.run(run, chunks)
+    xfs = lanes.run(run, _conv_plan(x.shape, weight.shape, n))
     out += bias.reshape(1, fo, 1, 1, 1)
-    return out, xf
+    return out, xfs
 
 
 def conv3d_valid(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -100,8 +99,8 @@ def conv3d_valid(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndar
     return _conv_forward(x, weight, bias)[0]
 
 
-def _conv_backward(x_shape, dtype, xf, weight, gy):
-    """Gradients (gx, gw, gb) of a convolution from its input spectrum xf.
+def _conv_backward(x_shape, dtype, xfs, weight, gy):
+    """Gradients (gx, gw, gb) of a convolution from its chunks' input spectra.
 
     The products run per frequency on spectra laid out [F, D, H, B, C],
     one batched GEMM per kernel offset (p, q) and gradient: the output
@@ -115,17 +114,17 @@ def _conv_backward(x_shape, dtype, xf, weight, gy):
     cdtype = _complex_dtype(dtype)
     n = sfft.next_fast_len(w, real=True)
     nf = n // 2 + 1
-    chunks = _conv_plan(x_shape, weight.shape, n)
+    chunks = _conv_plan(x_shape, weight.shape, n)     # the forward's chunks
+    spectra = dict(zip(chunks, xfs))
     kf = sfft.rfft(weight, n=n, axis=-1)
     kmat = np.ascontiguousarray(kf.transpose(2, 3, 4, 0, 1))    # [kD, kH, F, Fo, Fi]
-    gyf = sfft.rfft(gy, n=n, axis=-1, workers=lanes.count(chunks))
     gx = np.empty(x_shape, dtype=dtype)
 
     def run(lo, hi):
         bc = hi - lo
         xc = np.empty((nf, d, h, bc, fi), dtype=cdtype)
-        np.conjugate(xf[lo:hi].transpose(4, 2, 3, 0, 1), out=xc)
-        g = np.ascontiguousarray(gyf[lo:hi].transpose(4, 2, 3, 0, 1))
+        np.conjugate(spectra[lo, hi].transpose(4, 2, 3, 0, 1), out=xc)
+        g = np.ascontiguousarray(sfft.rfft(gy[lo:hi], n=n, axis=-1).transpose(4, 2, 3, 0, 1))
         rows = g.reshape(nf, dp * hp * bc, fo)
         cols = g.reshape(nf, dp, hp * bc, fo).swapaxes(-1, -2)
         gxf = np.zeros((nf, d, h, bc, fi), dtype=cdtype)
@@ -199,12 +198,12 @@ class Conv3d:
 
     def forward(self, x, train=False, stream=None):
         try:
-            y, xf = _conv_forward(x, self.params["w"], self.params["b"])
+            y, xfs = _conv_forward(x, self.params["w"], self.params["b"])
         except ValueError as err:
             raise ValueError(f"{self.name}: {err}") from None
-        # The input spectrum is about the size of the input and spares the
-        # backward pass its transform.
-        self._cache = (x.shape, x.dtype, xf) if train else None
+        # The input spectra are about the size of the input and spare the
+        # backward pass their transforms.
+        self._cache = (x.shape, x.dtype, xfs) if train else None
         return y
 
     def backward(self, gy):

@@ -15,7 +15,7 @@ from 'spread_out'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sfft
@@ -197,9 +197,3 @@ def generate(config: SynthConfig) -> EpochSet:
     lanes.run(chunk, lanes.plan(n_trials, len(config.channel_names) * n, CHUNK_VALUES))
     return EpochSet(data=data, labels=labels, fs=config.fs,
                     channel_names=config.channel_names)
-
-
-def null_config(config: SynthConfig) -> SynthConfig:
-    """Same corpus with every planted amplitude set to zero."""
-    return replace(config, effects=tuple(
-        replace(e, amplitude_uv=0.0) for e in config.effects))

@@ -33,6 +33,15 @@ class Hyper:
     epochs: int = 200
     batch_size: int = 40
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size={self.batch_size}: need at least 1")
+        if self.epochs < 0:
+            raise ValueError(f"epochs={self.epochs}: need at least 0")
+        for name in ("lr", "weight_decay"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}={getattr(self, name)}: need a finite number")
+
 
 @dataclass
 class OptimState:
@@ -188,6 +197,8 @@ def train_one_fold(config: AdsNetConfig, data: np.ndarray, labels: np.ndarray,
             epoch_losses.append(loss)
         ev_loss, ev_acc, _ = evaluate(model, data, labels, test_idx,
                                       hyper.batch_size)
+        if not np.isfinite(ev_loss):
+            raise FloatingPointError(f"fold {fold} epoch {epoch}: eval loss={ev_loss}")
         report.train_loss.append(float(np.mean(epoch_losses)))
         report.eval_loss.append(ev_loss)
         report.eval_acc.append(ev_acc)
@@ -214,27 +225,23 @@ def cross_validate(config: AdsNetConfig, data: np.ndarray, labels: np.ndarray,
                    montage: MontageMap, k: int = 5,
                    hyper: Hyper | None = None, seed: int = 0,
                    jobs: int = 1) -> CVResult:
-    """Mean and population std of per-fold best accuracies."""
+    """Mean and population std of per-fold best accuracies. jobs=1 trains
+    the folds one after another; jobs > 1 runs them on the lanes, two at
+    once, each with its convolutions inline, to the same bits."""
+    if jobs < 1:
+        raise ValueError(f"jobs={jobs}: need at least 1")
     hyper = hyper or Hyper()
     plan = make_folds(labels, k=k, seed=seed)
-    args = [(config, data, labels, plan, f, hyper, seed, montage)
-            for f in range(k)]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_fold_worker, args))
-    else:
-        reports = [train_one_fold(*a) for a in args]
+
+    def fold(f, _):
+        return train_one_fold(config, data, labels, plan, f, hyper, seed, montage)
+
+    blocks = [(f, f + 1) for f in range(k)]
+    reports = lanes.run(fold, blocks) if jobs > 1 else [fold(*b) for b in blocks]
     accs = np.array([r.best_eval_acc for r in reports])
     return CVResult(mean_accuracy=float(accs.mean()),
                     std_accuracy=float(accs.std()),
                     reports=reports)
-
-
-def _fold_worker(args):
-    # One worker process per CPU already: its blocks run serially.
-    lanes.serial = True
-    return train_one_fold(*args)
 
 
 def standardize(data: np.ndarray, scale: float | None = None):

@@ -311,3 +311,25 @@ def test_zero_epochs_stores_the_initial_weights(tmp_path, monkeypatch):
     for name, dims, values in entries:
         assert dims == state[name].shape
         assert np.array_equal(values, state[name].astype(np.float32).ravel()), name
+
+
+@pytest.mark.parametrize("key", ["batch_size=-5", "batch_size=0", "epochs=-1", "lr=nan",
+                                 "lr=inf", "weight_decay=-inf", "jobs=0", "jobs=-2"])
+def test_out_of_range_training_keys_fail_cleanly(tmp_path, capsys, key):
+    pre = _reduced_corpus(tmp_path)
+    code = run(["train", f"in={pre}", f"out_dir={tmp_path}/run", "reduced=true",
+                "folds=2", "epochs=1", key])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(err) == 1 and err[0].startswith(f"error: runtime: {key}: need ")
+    assert not (tmp_path / "run").exists()
+
+
+def test_non_finite_eval_loss_names_its_fold(tmp_path, capsys):
+    pre = _reduced_corpus(tmp_path)
+    with np.errstate(all="ignore"):
+        code = run(["train", f"in={pre}", f"out_dir={tmp_path}/run", "reduced=true",
+                    "folds=2", "epochs=1", "lr=1e300"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1 and len(err) == 1
+    assert err[0].startswith("error: runtime: fold 0 epoch 1: eval loss=")
+    assert not (tmp_path / "run").exists()

@@ -34,22 +34,39 @@ class TestPlan:
 class TestRun:
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_results_in_block_order(self, monkeypatch, cpus):
+        import threading
         monkeypatch.setattr(lanes, "_cpus", lambda: cpus)
         blocks = lanes.plan(11, 1, 4)
-        assert lanes.count(blocks) == min(cpus, 2)
-        assert lanes.run(lambda lo, hi: list(range(lo, hi)), blocks) == \
-            [list(range(lo, hi)) for lo, hi in blocks]
+        out = lanes.run(lambda lo, hi: (list(range(lo, hi)), threading.get_ident()), blocks)
+        assert [r for r, _ in out] == [list(range(lo, hi)) for lo, hi in blocks]
+        threads = [t for _, t in out]
+        if cpus == 1:
+            assert set(threads) == {threading.get_ident()}
+        else:
+            # lane j runs blocks j, j + 2, ... on one pool thread
+            assert threading.get_ident() not in threads
+            assert len(set(threads[0::2])) == len(set(threads[1::2])) == 1
+
+    def test_an_error_waits_for_every_lane(self, monkeypatch):
+        import time
+        monkeypatch.setattr(lanes, "_cpus", lambda: 2)
+        finished = []
+
+        def block(lo, hi):
+            if lo == 0:
+                raise ValueError("block 0")
+            time.sleep(0.2)
+            finished.append(lo)
+
+        with pytest.raises(ValueError, match="block 0"):
+            lanes.run(block, [(0, 1), (1, 2)])
+        assert finished == [1]
 
     def test_one_block_runs_on_the_calling_thread(self, monkeypatch):
         import threading
         monkeypatch.setattr(lanes, "_cpus", lambda: 2)
         assert lanes.run(lambda lo, hi: threading.get_ident(), [(0, 5)]) == \
             [threading.get_ident()]
-
-    def test_serial_runs_inline(self, monkeypatch):
-        monkeypatch.setattr(lanes, "_cpus", lambda: 2)
-        monkeypatch.setattr(lanes, "serial", True)
-        assert lanes.count(lanes.plan(8, 1, 2)) == 1
 
 
 def test_run_inside_a_lane_runs_inline():
@@ -63,13 +80,15 @@ def test_run_inside_a_lane_runs_inline():
 
         def outer(lo, hi):
             gate.wait()                    # both lanes are running
-            widths = lanes.count(lanes.plan(4, 1, 2))
             inner = lanes.run(lambda a, b: (a, b, threading.get_ident()),
                               lanes.plan(4, 1, 2))
             assert {t for _, _, t in inner} == {threading.get_ident()}
-            return widths, [(a, b) for a, b, _ in inner]
+            return threading.get_ident(), [(a, b) for a, b, _ in inner]
 
-        assert lanes.run(outer, [(0, 1), (1, 2)]) == [(1, [(0, 1), (1, 2), (2, 3), (3, 4)])] * 2
+        out = lanes.run(outer, [(0, 1), (1, 2)])
+        assert [blocks for _, blocks in out] == [[(0, 1), (1, 2), (2, 3), (3, 4)]] * 2
+        threads = {t for t, _ in out}
+        assert len(threads) == 2 and threading.get_ident() not in threads
         print("ok")
     """, timeout=60)
     assert out == "ok"
@@ -93,6 +112,20 @@ def test_import_and_warm_up_sized_calls_start_no_thread():
         nncore.conv3d_valid(np.ones((2, 1, 3, 3, 16)), np.ones((2, 1, 2, 2, 4)), np.zeros(2))
         assert lanes._pool is None
         assert threading.active_count() == 1, threading.enumerate()
+
+        # Folds run on the same lanes: no process pool, no more threads.
+        from ads3d import adsnet, training
+        from ads3d.montage import reduced_montage_4x4
+        from ads3d.rng import RngStream
+        training.cross_validate(adsnet.REDUCED_CONFIG, RngStream(29).normal((24, 16, 64)),
+                                np.arange(24) % 4, reduced_montage_4x4(), k=2,
+                                hyper=training.Hyper(epochs=1, batch_size=8), jobs=2)
+        assert lanes._pool is not None
+        assert "concurrent.futures.process" not in sys.modules
+        assert "multiprocessing" not in sys.modules
+        import multiprocessing
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() <= lanes.LANES + 1, threading.enumerate()
         print("ok")
     """)
     assert out == "ok"
@@ -120,8 +153,7 @@ def test_pool_survives_fork():
     out = run_script("""
         import multiprocessing as mp
         import numpy as np
-        from ads3d import adsnet, lanes, nncore, training
-        from ads3d.montage import reduced_montage_4x4
+        from ads3d import lanes, nncore
         from ads3d.rng import RngStream
 
         def conv(_):
@@ -135,15 +167,6 @@ def test_pool_survives_fork():
         with mp.get_context("fork").Pool(1) as pool:
             there = pool.map(conv, [0])[0]
         assert np.array_equal(here, there)
-
-        data = RngStream(29).normal((24, 16, 64))
-        labels = np.arange(24) % 4
-        kwargs = dict(k=2, hyper=training.Hyper(epochs=1, batch_size=8), seed=7)
-        runs = [training.cross_validate(adsnet.REDUCED_CONFIG, data, labels,
-                                        reduced_montage_4x4(), jobs=jobs, **kwargs)
-                for jobs in (2, 1)]
-        assert [r.eval_loss for r in runs[0].reports] == \\
-            [r.eval_loss for r in runs[1].reports]
         print("ok")
     """)
     assert out == "ok"

@@ -227,16 +227,39 @@ class TestCrossValidate:
         assert abs(result.mean_accuracy - np.mean(accs)) < 1e-12
         assert abs(result.std_accuracy - np.std(accs)) < 1e-12
 
-    def test_parallel_jobs_match_serial(self):
+    def test_parallel_jobs_match_serial(self, monkeypatch):
+        from ads3d import lanes
         x, labels = tiny_dataset(n_per=6)
         kwargs = dict(k=2, hyper=training.Hyper(epochs=2, batch_size=8), seed=7)
-        serial = training.cross_validate(adsnet.REDUCED_CONFIG, x, labels,
-                                         reduced_montage_4x4(), jobs=1, **kwargs)
-        parallel = training.cross_validate(adsnet.REDUCED_CONFIG, x, labels,
-                                           reduced_montage_4x4(), jobs=2, **kwargs)
-        assert serial.mean_accuracy == parallel.mean_accuracy
-        for a, b in zip(serial.reports, parallel.reports):
-            assert a.eval_loss == b.eval_loss
+        runs = []
+        for jobs, cpus in ((1, 2), (2, 1), (2, 2)):
+            monkeypatch.setattr(lanes, "_cpus", lambda: cpus)
+            runs.append(training.cross_validate(adsnet.REDUCED_CONFIG, x, labels,
+                                                reduced_montage_4x4(), jobs=jobs, **kwargs))
+        serial = runs[0]
+        for parallel in runs[1:]:
+            assert serial.mean_accuracy == parallel.mean_accuracy
+            for a, b in zip(serial.reports, parallel.reports, strict=True):
+                assert a.log_text() == b.log_text()
+                assert a.best_epoch == b.best_epoch
+                assert list(a.best_state) == list(b.best_state)
+                for name in a.best_state:
+                    assert np.array_equal(a.best_state[name], b.best_state[name]), name
+
+    def test_fold_error_in_a_lane_surfaces(self, monkeypatch):
+        from ads3d import lanes
+        monkeypatch.setattr(lanes, "_cpus", lambda: 2)
+        x, labels = tiny_dataset(n_per=6)
+        x[:] = np.nan
+        with pytest.raises(FloatingPointError, match="^fold 0 epoch 1 step 0"):
+            training.cross_validate(adsnet.REDUCED_CONFIG, x, labels, reduced_montage_4x4(),
+                                    k=2, hyper=training.Hyper(epochs=1, batch_size=8), jobs=2)
+
+
+def test_hyper_accepts_its_edges():
+    # out-of-range values are rejected through the CLI (test_cli.py)
+    hyper = training.Hyper(epochs=0, batch_size=1, lr=0.0, weight_decay=0.0)
+    assert (hyper.epochs, hyper.batch_size) == (0, 1)
 
 
 def test_align_to_montage_orders_by_name(small_preprocessed):
